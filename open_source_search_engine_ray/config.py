@@ -39,8 +39,8 @@ TURN_STRIDE = 2048
 class IndexConfig:
     # on-disk segment format version: part of the config hash, so caches,
     # resume fingerprints and index directories invalidate when the segment
-    # layout changes (v2: separate position count/delta streams)
-    format_version: int = 2
+    # layout changes (v3: Parquet list columns, no varbyte blobs)
+    format_version: int = 3
     # BM25 parameters (the scoring contract; see functions/bm25.py)
     k1: float = 1.2
     b: float = 0.75

@@ -524,12 +524,11 @@ def _merge_normal_shard(gen_dirs: list[tuple[int, str]], shard: int,
     shard file (non-hot terms never move: shard = term % P in every
     generation)."""
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq2
 
     from ..functions.ragged import ragged_select
     from .manifest import write_manifest
-    from .segments import decode_posting_table, encode_from_groups, \
-        write_segment
+    from .segments import (SegmentReader, decode_posting_table,
+                           encode_from_groups, write_segment)
     from .manifest import segment_path as seg_path
 
     tomb_doc, tomb_dead = tomb
@@ -544,31 +543,25 @@ def _merge_normal_shard(gen_dirs: list[tuple[int, str]], shard: int,
         path = seg_path(d, shard)
         if not os.path.exists(path):
             continue
-        tbl = pq2.read_table(path)
+        tbl = SegmentReader(path).read_table()
         if len(union_hot):
             # re-salted terms go to the hot-term tasks
             keep = pc.invert(pc.is_in(
                 tbl["term_id"], value_set=pa.array(union_hot, pa.uint64())))
             tbl = tbl.filter(keep)
         dec = decode_posting_table(tbl, with_positions=True)
-        if len(dec["term"]) == 0:
-            continue
-        alive = ~_dead_mask_for(dec["docs"], gen, tomb_doc, tomb_dead)
+        alive = ~_dead_mask_for(dec["doc_ids"], gen, tomb_doc, tomb_dead)
         if not alive.any():
             continue
-        offs = np.concatenate([[0], np.cumsum(dec["counts"])])
-        if alive.all():
-            flat, counts = dec["flat_pos"], dec["counts"]
-        else:
-            flat, o2 = ragged_select(dec["flat_pos"], offs,
-                                     np.flatnonzero(alive))
-            counts = np.diff(o2)
+        flat, offs = dec["positions"]
+        if not alive.all():
+            flat, offs = ragged_select(flat, offs, np.flatnonzero(alive))
         gt.append(dec["term"][alive])
-        gd.append(dec["docs"][alive])
+        gd.append(dec["doc_ids"][alive])
         gl.append(dec["dl"][alive])
         tf_l.append(dec["tfs"][alive])
         fp_l.append(flat)
-        cnt_l.append(counts)
+        cnt_l.append(np.diff(offs))
     if gt:
         term = np.concatenate(gt)
         docs = np.concatenate(gd)
@@ -603,11 +596,9 @@ def _merge_hot_terms(gen_infos: list[tuple[int, str, list, int, int]],
     generation (its hot shards there, or its normal shard when that
     generation didn't salt it), merge, re-split by doc % S into the target
     hot shards."""
-    import pyarrow.parquet as pq2
-
     from ..functions.ragged import ragged_select
     from .manifest import segment_path as seg_path, write_manifest
-    from .segments import (SegmentReader, decode_posting_row,
+    from .segments import (SegmentReader, decode_posting_table,
                            encode_from_groups, write_segment)
 
     tomb_doc, tomb_dead = tomb
@@ -626,10 +617,10 @@ def _merge_hot_terms(gen_infos: list[tuple[int, str, list, int, int]],
                 path = seg_path(d, sh)
                 if not os.path.exists(path):
                     continue
-                rd = SegmentReader(path)
-                for row in rd.read_terms([term]).to_pylist():
-                    parts.append((gen, decode_posting_row(
-                        row, with_positions=True)))
+                # a shard file holds at most one row per term
+                parts.append((gen, decode_posting_table(
+                    SegmentReader(path).read_terms([term]),
+                    with_positions=True)))
         merged = _merge_decoded_parts(parts, tomb_doc, tomb_dead)
         if merged is None:
             continue

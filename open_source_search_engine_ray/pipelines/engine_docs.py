@@ -6,8 +6,8 @@ scoring contract.
 
 This closes the loop the transcripts pytest oracle can't: an
 *independent* (SQL) implementation checks the whole distributed path —
-tokenize → spill → shuffle → varbyte segments → block-max query engine —
-value-for-value.
+tokenize → spill → shuffle → Parquet list-column segments → block-max
+query engine — value-for-value.
 
 What makes SQL replication exact:
 - the documents text is lowercase ``[a-z0-9 ]`` so the Gigablast tokenizer

@@ -4,7 +4,7 @@ The reference serves queries by fanning out to every doc-shard host
 (``Msg39`` multicast) whose threads range-read termlists (``Msg2`` →
 ``Msg5``).  A term-partitioned index inverts that: the coordinator asks
 only the servers owning the query's term shards for their posting lists
-(already compact blobs) and evaluates centrally — so a query touches
+(already decoded arrays) and evaluates centrally — so a query touches
 ``O(#terms)`` servers, not all of them.
 
 ``ShardServer`` actors each own a static subset of shards across all
@@ -24,6 +24,13 @@ from .cache import MISSING, LruBytesCache
 from .engine import _GenIndex
 from .kernel import TermPostings, evaluate
 from .parse import parse_query
+
+
+def _owned(part: dict) -> dict:
+    """A decoded part with every array copied out of the segment read's
+    buffers, so the parts cache holds only the bytes it counts."""
+    return {k: tuple(a.copy() for a in v) if isinstance(v, tuple)
+            else v.copy() for k, v in part.items()}
 
 
 class ShardServer:
@@ -57,8 +64,9 @@ class ShardServer:
                 from ..index.segments import decode_posting_row
 
                 tbl = rd.read_terms([term_id], with_positions=with_positions)
-                out.extend((g.gen, decode_posting_row(r, with_positions))
-                           for r in tbl.to_pylist())
+                out.extend((g.gen, _owned(decode_posting_row(
+                    tbl.slice(i, 1), with_positions)))
+                    for i in range(tbl.num_rows))
         self._cache.put(key, out)
         return out
 
@@ -148,7 +156,8 @@ class DistributedSearcher:
                      and float(self.meta["avgdl"]) == self.avgdl)
         tp = TermPostings(doc_ids=docs[order], tfs=tfs[order], dl=dl[order],
                           df=int(len(docs)), positions=None,
-                          block_max=single_bm if stored_ok else None)
+                          block_max=(single_bm.copy() if stored_ok
+                                     else None))
         if with_positions:
             flat_all, offs_all = ragged_concat(pos_parts)
             tp.positions = ragged_select(flat_all, offs_all, order)

@@ -277,8 +277,8 @@ class _GenIndex:
             if rd is None:
                 continue
             tbl = rd.read_terms([term_id], with_positions=with_positions)
-            decoded.extend(decode_posting_row(r, with_positions)
-                           for r in tbl.to_pylist())
+            decoded.extend(decode_posting_row(tbl.slice(i, 1), with_positions)
+                           for i in range(tbl.num_rows))
         return decoded
 
 
@@ -372,7 +372,9 @@ class IndexSearcher:
             doc_ids=docs[order], tfs=tfs[order], dl=dl[order],
             df=int(len(docs)),
             positions=None,
-            block_max=single_bm if stored_ok else None)
+            # a copy: the decoded block maxima view the segment read's buffers,
+            # which the cache budget does not count
+            block_max=single_bm.copy() if stored_ok else None)
         if tp.block_max is None and tp.df >= 4096:
             # recompute (once, cached): salted/merged/maintained lists keep
             # a pruning path too — the cost is one scan, amortized across

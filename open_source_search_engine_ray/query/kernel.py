@@ -17,7 +17,7 @@ Evaluation (the docid-vote intersection + scoring of
 5. top-k: (score desc, docId asc), ``Msg3a::mergeLists`` tie order.
 
 A term's postings arrive as ``TermPostings`` regardless of origin (decoded
-segment blobs in the engine, in-memory dicts in the oracle).
+segment list columns in the engine, in-memory dicts in the oracle).
 """
 
 from __future__ import annotations

@@ -65,6 +65,30 @@ def test_rank_identity(built_index, oracle):
     assert n_nonempty >= 8  # the query set actually exercises the corpus
 
 
+def test_cached_lists_own_their_memory(built_index):
+    """Decode returns views of the segment read's Arrow buffers; a cached
+    list must copy them, or it pins buffers the cache budget never
+    counts."""
+    from open_source_search_engine_ray.functions.ghash import (
+        TERMID_MASK, hash64_lower_utf8)
+
+    n_block_max = 0
+    for tok in ("w0002", "the", "w0123"):
+        tid = int(np.uint64(hash64_lower_utf8(tok)) & TERMID_MASK)
+        for wp in (False, True):
+            se = IndexSearcher(IDX)
+            tp = se.get_postings(tid, with_positions=wp)
+            assert tp is not None and se._cache.get((tid, wp)) is tp
+            arrays = [tp.doc_ids, tp.tfs, tp.dl]
+            arrays += list(tp.positions) if wp else []
+            if tp.block_max is not None:
+                arrays.append(tp.block_max)
+                n_block_max += 1
+            for a in arrays:
+                assert a.base is None and a.flags.owndata, tok
+    assert n_block_max > 0
+
+
 def test_field_weight_signal(built_index, oracle):
     """Marker terms planted per-role must hit, and the role filter must
     restrict to docs whose hits are in that field."""
