@@ -59,7 +59,7 @@ def run_headline(sf_dir: str, num_cpus: int, full: bool = True,
     from open_source_search_engine_ray.config import IndexConfig
     from open_source_search_engine_ray.index.build import build_index
     from open_source_search_engine_ray.query.engine import (
-        IndexSearcher, evaluate_queries_distributed)
+        IndexSearcher, SearchRequest, evaluate_queries_distributed)
     from open_source_search_engine_ray.sources.queryset import query_set
     from open_source_search_engine_ray.sources.transcripts import (
         n_conv_for_sf, transcripts_parquet)
@@ -116,25 +116,25 @@ def run_headline(sf_dir: str, num_cpus: int, full: bool = True,
     out["worst_stopword_query_warm_ms"] = round(
         lat_warm.get("q0004", 0.0) * 1000, 2)
     # the same worst query under the Msg39/PosdbTable budget analogue
-    # (search_budgeted: 256 KiB per-term list cap → flagged partial)
+    # (max_list_bytes: 256 KiB per-term list cap → flagged partial)
     worst_q = next((q for qid, q, k in qs if qid == "q0004"), None)
     if worst_q is not None:
         reps_b = []
         partial = False
         for _ in range(3):
             t = time.time()
-            _, _, partial = se.search_budgeted(worst_q, 10,
-                                               max_list_bytes=256 << 10)
+            partial = se.run(SearchRequest(
+                worst_q, 10, max_list_bytes=256 << 10)).partial
             reps_b.append(time.time() - t)
         out["worst_query_budgeted_ms"] = round(min(reps_b) * 1000, 2)
         out["worst_query_budgeted_partial"] = bool(partial)
         # EXACT intra-query parallelism (docId-range split, Msg39
         # analogue) on the same worst query — unbudgeted, rank-identical
-        se.search_parallel(worst_q, 10)        # pay the ray.put once
+        se.search(worst_q, 10, n_ranges="auto")  # pay the ray.put once
         reps_p = []
         for _ in range(3):
             t = time.time()
-            se.search_parallel(worst_q, 10)
+            se.search(worst_q, 10, n_ranges="auto")
             reps_p.append(time.time() - t)
         out["worst_query_parallel_ms"] = round(min(reps_p) * 1000, 2)
 

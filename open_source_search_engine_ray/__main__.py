@@ -57,7 +57,9 @@ def main(argv=None) -> int:
     q.add_argument("--qlang", default=None,
                    help="query language: weights non-matching docs by "
                         "--lang-weight via the per-doc language prior")
-    q.add_argument("--lang-weight", type=float, default=None)
+    q.add_argument("--lang-weight", type=float, default=None,
+                   help="score multiplier of docs not in the --qlang "
+                        "language (needs --qlang)")
     q.add_argument("--max-list-bytes", type=int, default=None,
                    help="per-term decoded-list cap (~30MB reference cap)")
     q.add_argument("--facets", default=None, metavar="ATTR",
@@ -87,6 +89,25 @@ def main(argv=None) -> int:
     bq.add_argument("--index", required=True)
 
     args = ap.parse_args(argv)
+    if args.cmd == "query":
+        # one request from every flag, refused here if the pipeline
+        # would refuse it — before Ray starts
+        from .query.engine import SearchRequest
+
+        if args.snippets and args.facets is not None:
+            ap.error("query modes are mutually exclusive, got: "
+                     "--snippets, --facets")
+        opts = dict(timeout_ms=args.timeout_ms,
+                    max_list_bytes=args.max_list_bytes,
+                    n_ranges="auto" if args.parallel else None,
+                    qlang=args.qlang, lang_weight=args.lang_weight)
+        if args.facets is not None:
+            opts.update(facet=args.facets, k_facets=args.k)
+        req = SearchRequest(args.q, args.k, **opts)
+        try:
+            req.validate()
+        except ValueError as ex:
+            ap.error(str(ex))
     _ensure_ray()
     import ray.data
 
@@ -106,53 +127,23 @@ def main(argv=None) -> int:
         from .query.engine import IndexSearcher
         from .query.snippets import search_with_snippets
 
-        modes = [m for m, on in [
-            ("--snippets", args.snippets),
-            ("--timeout-ms/--max-list-bytes",
-             args.timeout_ms is not None
-             or args.max_list_bytes is not None),
-            ("--qlang", args.qlang is not None),
-            ("--parallel", args.parallel),
-            ("--facets", args.facets is not None)] if on]
-        if len(modes) > 1:
-            ap.error("query modes are mutually exclusive, got: "
-                     + ", ".join(modes))
         if args.snippets:
-            print(search_with_snippets(args.index, args.q,
-                                       args.k).to_pandas().to_string())
+            print(search_with_snippets(args.index, args.q, args.k, **opts)
+                  .to_pandas().to_string())
         else:
             se = IndexSearcher(args.index)
-            if args.facets is not None:
-                try:
-                    vals, counts, total = se.search_facets(
-                        args.q, facet=args.facets, k_facets=args.k)
-                except ValueError as ex:
-                    ap.error(str(ex))
-                for v, c in zip(vals, counts):
-                    print(f"{v:20s}  {int(c):10d}")
-                print(f"({total} matching docs)")
-                return 0
             t0 = time.time()
-            if args.timeout_ms is not None or args.max_list_bytes is not None:
-                docs, scores, partial = se.search_budgeted(
-                    args.q, args.k, timeout_ms=args.timeout_ms,
-                    max_list_bytes=args.max_list_bytes)
-            elif args.qlang is not None:
-                docs, scores = se.search_lang(
-                    args.q, args.k, qlang=args.qlang,
-                    lang_weight=args.lang_weight)
-                partial = False
-            elif args.parallel:
-                docs, scores = se.search_parallel(args.q, args.k)
-                partial = False
-            else:
-                docs, scores = se.search(args.q, args.k)
-                partial = False
+            res = se.run(req)
             dt = time.time() - t0
-            for r, (d, s) in enumerate(zip(docs, scores), 1):
+            if res.facets is not None:
+                for v, c in zip(*res.facets):
+                    print(f"{str(v):20s}  {int(c):10d}")
+                print(f"({res.total} matching docs)")
+                return 0
+            for r, (d, s) in enumerate(zip(res.doc_ids, res.scores), 1):
                 print(f"{r:3d}  doc={int(d):20d}  score={float(s):.6f}")
-            tag = " PARTIAL" if partial else ""
-            print(f"({len(docs)} hits in {dt * 1000:.1f} ms{tag})")
+            tag = " PARTIAL" if res.partial else ""
+            print(f"({len(res.doc_ids)} hits in {dt * 1000:.1f} ms{tag})")
     elif args.cmd == "suggest":
         from .query.spell import SpellSuggester, ensure_vocab
 

@@ -178,17 +178,14 @@ def delete_by_query(out_dir: str, query: str, lang: str = "en") -> int:
     """Delete every live document matching ``query`` — the query-driven
     reindex/delete of the reference (``PageReindex.cpp``: run the query,
     feed the result docIds into the delete/reindex spider queue).  The
-    EXACT candidate set (required-term intersection, negatives, phrase
-    filters — no scoring pass) is tombstoned; a later re-add revives a
-    doc as usual.  Returns the number of docs deleted."""
-    from ..query.engine import IndexSearcher
-    from ..query.kernel import candidate_docs
-    from ..query.parse import parse_query
+    EXACT match set (required-term intersection, negatives, phrase
+    filters) is tombstoned; a later re-add revives a doc as usual.
+    Returns the number of docs deleted."""
+    from ..query.engine import IndexSearcher, SearchRequest
 
     se = IndexSearcher(out_dir)
-    pq_ = parse_query(query, se.config.bigram_weight, lang=lang,
-                      position_mode=se.config.position_mode)
-    cand = candidate_docs(pq_, se._lists_for(pq_))
+    # a ranking as deep as the live corpus holds every match
+    cand = se.run(SearchRequest(query, max(1, se.n_docs), lang=lang)).doc_ids
     if len(cand) == 0:
         return 0
     return delete_docs(out_dir, [int(d) for d in cand])
@@ -475,45 +472,53 @@ _EMPTY_CDOC = np.zeros(0, np.uint64)
 _EMPTY_CWIN = np.zeros(0, np.int32)
 
 
-def _dead_mask_for(doc_ids: np.ndarray, gen: int, tomb_doc: np.ndarray,
-                   tomb_dead: np.ndarray) -> np.ndarray:
-    """Tombstone half of :func:`live_keep_mask`, inverted."""
-    if len(tomb_doc) == 0 or len(doc_ids) == 0:
-        return np.zeros(len(doc_ids), dtype=bool)
-    return ~live_keep_mask(doc_ids, gen, _EMPTY_CDOC, _EMPTY_CWIN,
-                           tomb_doc, tomb_dead)
+def merge_postings(parts, tomb, with_positions: bool = True,
+                   by_term: bool = False) -> dict | None:
+    """THE generation/tombstone merge of decoded posting parts — the
+    in-memory ``posdbMerge_r`` (``RdbList.cpp:2186-2400``): sorted union
+    with negative-key annihilation.  ``parts`` yields ``(gen,
+    decode_posting_table output)`` pairs; each loses the postings a
+    tombstone kills in its generation (:func:`live_keep_mask`; postings
+    resolve newest-generation-wins through the tombstones an update
+    writes), then the survivors are concatenated and stably sorted by
+    docId — by (term, docId) with ``by_term``, for parts of many terms —
+    so equal keys keep part order.  The searchers, the fan-out
+    coordinator and both compaction tasks all merge here.
 
-
-def _merge_decoded_parts(parts: list[tuple[int, dict]], tomb_doc, tomb_dead):
-    """Merge decoded posting parts (gen-tagged) of ONE term → group arrays
-    (docs sorted, tfs, dl, flat positions, counts) with tombstones applied.
-    The in-memory ``posdbMerge_r`` (RdbList.cpp:2186-2400): sorted union
-    with negative-key annihilation."""
+    → ``doc_ids``, ``tfs``, ``dl`` (+ ``term`` with ``by_term``,
+    ``positions`` = (flat, offsets) with ``with_positions``) and
+    ``block_max``: the part's stored block maxima when exactly one part
+    survives, untouched; else None.  ``None`` when nothing survives."""
     from ..functions.ragged import ragged_concat, ragged_select
 
-    docs_p, tfs_p, dl_p, pos_p = [], [], [], []
+    tdoc, tdead = tomb
+    cols = ("term", "doc_ids", "tfs", "dl") if by_term else (
+        "doc_ids", "tfs", "dl")
+    kept: dict[str, list] = {c: [] for c in cols}
+    pos, block_max = [], None
     for gen, d in parts:
-        alive = ~_dead_mask_for(d["doc_ids"], gen, tomb_doc, tomb_dead)
+        alive = live_keep_mask(d["doc_ids"], gen, _EMPTY_CDOC, _EMPTY_CWIN,
+                               tdoc, tdead)
         if not alive.any():
             continue
-        docs_p.append(d["doc_ids"][alive])
-        tfs_p.append(d["tfs"][alive])
-        dl_p.append(d["dl"][alive])
-        flat, offs = d["positions"]
-        if alive.all():
-            pos_p.append((flat, offs))
-        else:
-            pos_p.append(ragged_select(flat, np.asarray(offs, np.int64),
-                                       np.flatnonzero(alive)))
-    if not docs_p:
+        whole = bool(alive.all())
+        block_max = d["block_max"] if whole else None
+        for c in cols:
+            kept[c].append(d[c][alive])
+        if with_positions:
+            flat, offs = d["positions"]
+            pos.append((flat, offs) if whole else
+                       ragged_select(flat, offs, np.flatnonzero(alive)))
+    if not kept["doc_ids"]:
         return None
-    docs = np.concatenate(docs_p)
-    order = np.argsort(docs, kind="stable")
-    flat_all, offs_all = ragged_concat(pos_p)
-    flat_sorted, offs_sorted = ragged_select(flat_all, offs_all, order)
-    return (docs[order], np.concatenate(tfs_p)[order],
-            np.concatenate(dl_p)[order], flat_sorted,
-            np.diff(offs_sorted))
+    out = {c: np.concatenate(v) for c, v in kept.items()}
+    order = (np.lexsort((out["doc_ids"], out["term"])) if by_term
+             else np.argsort(out["doc_ids"], kind="stable"))
+    out = {c: v[order] for c, v in out.items()}
+    if with_positions:
+        out["positions"] = ragged_select(*ragged_concat(pos), order)
+    out["block_max"] = block_max if len(kept["doc_ids"]) == 1 else None
+    return out
 
 
 def _merge_normal_shard(gen_dirs: list[tuple[int, str]], shard: int,
@@ -525,55 +530,37 @@ def _merge_normal_shard(gen_dirs: list[tuple[int, str]], shard: int,
     generation)."""
     import pyarrow.compute as pc
 
-    from ..functions.ragged import ragged_select
     from .manifest import write_manifest
     from .segments import (SegmentReader, decode_posting_table,
                            encode_from_groups, write_segment)
     from .manifest import segment_path as seg_path
 
-    tomb_doc, tomb_dead = tomb
     t0 = time.time()
-    # bulk path: every generation's shard table is decoded in ONE
-    # vectorized pass (decode_posting_table), tombstones applied as a
-    # posting mask, then the gen parts are concatenated and stably
-    # lexsorted by (term, doc) — equal keys keep generation order, the
-    # same order the per-term merge produced
-    gt, gd, gl, tf_l, fp_l, cnt_l = [], [], [], [], [], []
-    for gen, d in gen_dirs:
-        path = seg_path(d, shard)
-        if not os.path.exists(path):
-            continue
-        tbl = SegmentReader(path).read_table()
-        if len(union_hot):
-            # re-salted terms go to the hot-term tasks
-            keep = pc.invert(pc.is_in(
-                tbl["term_id"], value_set=pa.array(union_hot, pa.uint64())))
-            tbl = tbl.filter(keep)
-        dec = decode_posting_table(tbl, with_positions=True)
-        alive = ~_dead_mask_for(dec["doc_ids"], gen, tomb_doc, tomb_dead)
-        if not alive.any():
-            continue
-        flat, offs = dec["positions"]
-        if not alive.all():
-            flat, offs = ragged_select(flat, offs, np.flatnonzero(alive))
-        gt.append(dec["term"][alive])
-        gd.append(dec["doc_ids"][alive])
-        gl.append(dec["dl"][alive])
-        tf_l.append(dec["tfs"][alive])
-        fp_l.append(flat)
-        cnt_l.append(np.diff(offs))
-    if gt:
-        term = np.concatenate(gt)
-        docs = np.concatenate(gd)
-        order = np.lexsort((docs, term))  # stable: gen order on ties
-        counts = np.concatenate(cnt_l)
-        offs = np.concatenate([[0], np.cumsum(counts)])
-        flat_s, offs_s = ragged_select(np.concatenate(fp_l), offs, order)
+
+    def gen_parts():
+        # bulk path: each generation's shard table is decoded in ONE
+        # vectorized pass, one generation at a time, and merged by
+        # (term, doc) — equal keys keep generation order, the same order
+        # the per-term merge produces
+        for gen, d in gen_dirs:
+            path = seg_path(d, shard)
+            if not os.path.exists(path):
+                continue
+            tbl = SegmentReader(path).read_table()
+            if len(union_hot):
+                # re-salted terms go to the hot-term tasks
+                tbl = tbl.filter(pc.invert(pc.is_in(
+                    tbl["term_id"],
+                    value_set=pa.array(union_hot, pa.uint64()))))
+            yield gen, decode_posting_table(tbl, with_positions=True)
+
+    m = merge_postings(gen_parts(), tomb, by_term=True)
+    if m is not None:
         from .build import _salt_of_shard
 
+        flat, offs = m["positions"]
         seg = encode_from_groups(
-            term[order], docs[order], np.concatenate(gl)[order],
-            np.concatenate(tf_l)[order], flat_s, np.diff(offs_s),
+            m["term"], m["doc_ids"], m["dl"], m["tfs"], flat, np.diff(offs),
             config, _salt_of_shard(shard, config), avgdl)
         path = seg_path(new_dir, shard)
         write_segment(seg, path)
@@ -601,7 +588,6 @@ def _merge_hot_terms(gen_infos: list[tuple[int, str, list, int, int]],
     from .segments import (SegmentReader, decode_posting_table,
                            encode_from_groups, write_segment)
 
-    tomb_doc, tomb_dead = tomb
     out = []
     per_shard_rows: dict[int, list] = {}
     for hot_idx, term in hot_items:
@@ -621,11 +607,11 @@ def _merge_hot_terms(gen_infos: list[tuple[int, str, list, int, int]],
                 parts.append((gen, decode_posting_table(
                     SegmentReader(path).read_terms([term]),
                     with_positions=True)))
-        merged = _merge_decoded_parts(parts, tomb_doc, tomb_dead)
+        merged = merge_postings(parts, tomb)
         if merged is None:
             continue
-        docs, tfs, dl, flat, counts = merged
-        offs = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        docs, tfs, dl = merged["doc_ids"], merged["tfs"], merged["dl"]
+        flat, offs = merged["positions"]
         salts = (docs % np.uint64(target_s)).astype(np.int64)
         for salt in range(target_s):
             sel = np.flatnonzero(salts == salt)

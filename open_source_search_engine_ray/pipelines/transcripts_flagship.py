@@ -188,17 +188,17 @@ def transcripts_spell_suggest(sf_dir: str):
 def transcripts_search_budgeted(sf_dir: str):
     """→ (query_id, rank, doc_id, score, partial) under a per-term list
     byte cap — the Msg39 deadline / PosdbTable termlist-cap analogue
-    (IndexSearcher.search_budgeted).  Deterministic for a fixed cap;
+    (``SearchRequest.max_list_bytes``).  Deterministic for a fixed cap;
     rows-only driver check (budget semantics aren't SQL-expressible)."""
-    from ..query.engine import IndexSearcher
+    from ..query.engine import IndexSearcher, SearchRequest
 
     idx_dir = ensure_index(sf_dir)
     se = IndexSearcher(idx_dir)
     out = {"query_id": [], "rank": [], "doc_id": [], "score": [],
            "partial": []}
     for qid, q, k in query_set()[:8]:
-        docs, scores, partial = se.search_budgeted(
-            q, k, max_list_bytes=256 << 10)
+        res = se.run(SearchRequest(q, k, max_list_bytes=256 << 10))
+        docs, scores, partial = res.doc_ids, res.scores, res.partial
         for r, (d, s) in enumerate(zip(docs, scores), start=1):
             out["query_id"].append(qid)
             out["rank"].append(r)
@@ -249,7 +249,7 @@ def transcripts_doc_prior_topk(sf_dir: str):
 
 def transcripts_search_parallel(sf_dir: str):
     """→ (query_id, rank, doc_id, score) via the EXACT docId-range-split
-    parallel path (``IndexSearcher.search_parallel`` — the
+    parallel path (``SearchRequest.n_ranges`` — the
     ``Msg39.cpp:411-466`` per-query docid-range split).  Must equal
     ``transcripts_bm25_topk`` row for row (rank identity is the pytest
     gate, tests/test_distributed.py); rows-only driver check."""
@@ -259,7 +259,7 @@ def transcripts_search_parallel(sf_dir: str):
     se = IndexSearcher(idx_dir)
     out = {"query_id": [], "rank": [], "doc_id": [], "score": []}
     for qid, q, k in query_set()[:8]:
-        docs, scores = se.search_parallel(q, k, n_ranges=4)
+        docs, scores = se.search(q, k, n_ranges=4)
         for r, (d, s) in enumerate(zip(docs, scores), start=1):
             out["query_id"].append(qid)
             out["rank"].append(r)
@@ -288,7 +288,7 @@ def transcripts_search_lang(sf_dir: str):
     out = {"query_id": [], "rank": [], "doc_id": [], "score": [],
            "doc_lang": []}
     for qid, q, k in query_set()[:6]:
-        docs, scores = se.search_lang(q, k, qlang="en", lang_weight=0.5)
+        docs, scores = se.search(q, k, qlang="en", lang_weight=0.5)
         for r, (d, s) in enumerate(zip(docs, scores), start=1):
             out["query_id"].append(qid)
             out["rank"].append(r)
@@ -311,16 +311,17 @@ def transcripts_facet_lang(sf_dir: str):
     """→ (query_id, facet_value, n_docs, total_matches) — facet queries
     (the ``gbfacetstr:`` surface, reference Query.cpp facet terms): the
     per-language histogram of each query's EXACT matching set
-    (``IndexSearcher.search_facets``).  Rows-only driver check; the
+    (``SearchRequest.facet``).  Rows-only driver check; the
     engine==brute-force identity is tests/test_budget_prior.py."""
-    from ..query.engine import IndexSearcher
+    from ..query.engine import IndexSearcher, SearchRequest
 
     idx_dir = ensure_index(sf_dir)
     se = IndexSearcher(idx_dir)
     out = {"query_id": [], "facet_value": [], "n_docs": [],
            "total_matches": []}
     for qid, q, _k in query_set()[:6]:
-        vals, counts, total = se.search_facets(q, facet="lang")
+        res = se.run(SearchRequest(q, facet="lang"))
+        (vals, counts), total = res.facets, res.total
         for v, c in zip(vals, counts):
             out["query_id"].append(qid)
             out["facet_value"].append(v)

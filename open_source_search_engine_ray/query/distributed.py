@@ -9,21 +9,22 @@ only the servers owning the query's term shards for their posting lists
 
 ``ShardServer`` actors each own a static subset of shards across all
 generations (segment readers + a decoded-parts cache = the per-host page
-cache).  ``DistributedSearcher`` resolves term → owning shards → servers,
-fetches all terms' parts CONCURRENTLY (the ``Msg2::getLists`` parallel
-fetch), merges generations/tombstones exactly like the local searcher, and
-runs the same kernel — results are bit-identical to ``IndexSearcher``
+cache).  ``DistributedSearcher`` is an :class:`IndexSearcher` whose fetch
+stage resolves term → owning shards → servers and fetches all terms' parts
+CONCURRENTLY (the ``Msg2::getLists`` parallel fetch); the generation /
+tombstone merge, the pipeline and the kernel are the local searcher's, so
+it serves every request the local searcher does, bit-identically
 (tested)."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..config import IndexConfig
 from .cache import MISSING, LruBytesCache
-from .engine import _GenIndex
-from .kernel import TermPostings, evaluate
-from .parse import parse_query
+from .engine import IndexSearcher, _truncate_postings, open_generations
+from .kernel import TermPostings
+# not called here since the pipeline moved to IndexSearcher.run; kept
+# importable because perfbench/spans.py wraps these two names
+from .kernel import evaluate  # noqa: F401
+from .parse import parse_query  # noqa: F401
 
 
 def _owned(part: dict) -> dict:
@@ -38,13 +39,8 @@ class ShardServer:
 
     def __init__(self, index_dir: str, shard_ids: list[int],
                  cache_bytes: int = 256 << 20):
-        from ..index.merge import gen_dir, read_generations
-
-        gens_doc = read_generations(index_dir)
         self.owned = frozenset(shard_ids)
-        self._gens = [
-            _GenIndex(g["gen"], gen_dir(index_dir, g["gen"]))
-            for g in sorted(gens_doc["generations"], key=lambda g: g["gen"])]
+        self._gens = open_generations(index_dir)
         self._cache = LruBytesCache(cache_bytes)
 
     def get_parts(self, term_id: int, with_positions: bool = False):
@@ -53,183 +49,56 @@ class ShardServer:
         hit = self._cache.get(key, MISSING)
         if hit is not MISSING:
             return hit
-        out = []
-        for g in self._gens:
-            for shard in g.shards_for_term(term_id):
-                if shard not in self.owned:
-                    continue
-                rd = g._reader(shard)
-                if rd is None:
-                    continue
-                from ..index.segments import decode_posting_row
-
-                tbl = rd.read_terms([term_id], with_positions=with_positions)
-                out.extend((g.gen, _owned(decode_posting_row(
-                    tbl.slice(i, 1), with_positions)))
-                    for i in range(tbl.num_rows))
+        out = [(g.gen, _owned(d)) for g in self._gens
+               for d in g.raw_postings(term_id, with_positions, self.owned)]
         self._cache.put(key, out)
         return out
 
 
-class DistributedSearcher:
-    """Coordinator: same contract as IndexSearcher.search, backed by the
+class DistributedSearcher(IndexSearcher):
+    """Coordinator: the local searcher's pipeline, fetching from the
     actor pool."""
 
     def __init__(self, index_dir: str, n_servers: int = 4):
         import ray
 
-        from ..index.build import load_meta
-        from ..index.merge import (gen_dir, read_generations,
-                                   read_tombstones)
-
-        self.index_dir = index_dir
-        self.meta = load_meta(index_dir)
-        cfg = dict(self.meta["config"])
-        cfg["field_weights"] = tuple(cfg["field_weights"])
-        self.config = IndexConfig(**cfg)
-        gens_doc = read_generations(index_dir)
-        live = gens_doc.get("live_stats")
-        self.n_docs = int(live["n_docs"]) if live else int(self.meta["n_docs"])
-        self.avgdl = float(live["avgdl"]) if live else float(self.meta["avgdl"])
-        self.tomb_doc, self.tomb_dead = read_tombstones(index_dir)
+        super().__init__(index_dir)
         # shard universe = max over generations (hot sets can differ)
-        self._gens_meta = [
-            _GenIndex(g["gen"], gen_dir(index_dir, g["gen"]))
-            for g in sorted(gens_doc["generations"], key=lambda g: g["gen"])]
         max_shard = max(
             (g.p * g.s if g.meta["config"].get("salt_all_terms")
              else g.p + len(g.hot_terms) * g.s)
-            for g in self._gens_meta)
+            for g in self._gens)
         self.n_servers = n_servers
         server_cls = ray.remote(num_cpus=0.5)(ShardServer)
         owned = [[s for s in range(max_shard) if s % n_servers == i]
                  for i in range(n_servers)]
         self._servers = [server_cls.remote(index_dir, o) for o in owned]
-        self._cache = LruBytesCache(256 << 20)
-        # (term, positions?) → ObjectRef cache for the parallel path,
-        # byte-bounded by the payload each ref pins in the object store
-        self._part_refs = LruBytesCache(256 << 20)
 
     def _servers_for_term(self, term_id: int) -> list[int]:
         servers = set()
-        for g in self._gens_meta:
+        for g in self._gens:
             for shard in g.shards_for_term(term_id):
                 servers.add(shard % self.n_servers)
         return sorted(servers)
 
-    def _dead_mask(self, doc_ids: np.ndarray, gen: int) -> np.ndarray:
-        if len(self.tomb_doc) == 0 or len(doc_ids) == 0:
-            return np.zeros(len(doc_ids), dtype=bool)
-        idx = np.clip(np.searchsorted(self.tomb_doc, doc_ids), 0,
-                      len(self.tomb_doc) - 1)
-        return (self.tomb_doc[idx] == doc_ids) & (self.tomb_dead[idx] >= gen)
-
-    def _merge_parts(self, parts, with_positions: bool):
-        from ..functions.ragged import ragged_concat, ragged_select
-
-        docs_parts, tfs_parts, dl_parts, pos_parts = [], [], [], []
-        single_bm = None
-        n_parts = 0
-        for gen, d in parts:
-            alive = ~self._dead_mask(d["doc_ids"], gen)
-            if not alive.any():
-                continue
-            n_parts += 1
-            single_bm = d["block_max"] if alive.all() else None
-            docs_parts.append(d["doc_ids"][alive])
-            tfs_parts.append(d["tfs"][alive])
-            dl_parts.append(d["dl"][alive])
-            if with_positions:
-                flat, offs = d["positions"]
-                pos_parts.append(
-                    (flat, offs) if alive.all() else
-                    ragged_select(flat, offs, np.flatnonzero(alive)))
-        if not docs_parts:
-            return None
-        docs = np.concatenate(docs_parts)
-        tfs = np.concatenate(tfs_parts)
-        dl = np.concatenate(dl_parts)
-        order = np.argsort(docs, kind="stable")
-        stored_ok = (n_parts == 1 and single_bm is not None
-                     and len(self._gens_meta) == 1
-                     and len(self.tomb_doc) == 0
-                     and float(self.meta["avgdl"]) == self.avgdl)
-        tp = TermPostings(doc_ids=docs[order], tfs=tfs[order], dl=dl[order],
-                          df=int(len(docs)), positions=None,
-                          block_max=(single_bm.copy() if stored_ok
-                                     else None))
-        if with_positions:
-            flat_all, offs_all = ragged_concat(pos_parts)
-            tp.positions = ragged_select(flat_all, offs_all, order)
-        return tp
-
-    def search(self, query: str, k: int = 10):
-        """Unbudgeted search = the budgeted path with no budget (one
-        fan-out/collect/cache implementation — the two were bit-identical
-        by test, so one delegates)."""
-        docs, scores, _ = self.search_budgeted(query, k)
-        return docs, scores
-
-    def search_budgeted(self, query: str, k: int = 10,
-                        timeout_ms: float | None = None,
-                        max_list_bytes: int | None = None):
-        """Budgeted distributed search → ``(doc_ids, scores, partial)``
-        — the fan-out twin of ``IndexSearcher.search_budgeted``, and the
-        closest analogue of the reference's behavior: ``Msg39`` launches
-        every termlist request concurrently and the DEADLINE gates the
-        collection (``Msg39.cpp:429-444``), while the per-term byte cap
-        truncates each merged docId-ordered list
-        (``PosdbTable.cpp:1975-1981``).  Terms whose fetches miss the
-        deadline evaluate as absent — but fetches that already COMPLETED
-        are always harvested (an expired deadline does a non-blocking
-        ``ray.get(timeout=0)``, so ready lists are never discarded); any
-        truncation or timeout sets ``partial=True``.  Results are exact
-        over the surviving lists."""
-        import time
-
-        deadline = (time.monotonic() + timeout_ms / 1000.0
-                    if timeout_ms is not None else None)
-        pq_ = parse_query(query, self.config.bigram_weight,
-                          position_mode=self.config.position_mode)
-        lists, partial = self._collect_lists(pq_, deadline, max_list_bytes)
-        docs, scores = evaluate(pq_, lists, self.n_docs, self.avgdl,
-                                self.config, k, prune=not partial)
-        return docs, scores, partial
-
-    def search_parallel(self, query: str, k: int = 10,
-                        n_ranges: int | None = None):
-        """EXACT docId-range-split evaluation over the coordinator's
-        merged lists — the ``Msg39.cpp:411-466`` range split stacked on
-        the term-shard fetch topology; rank- and score-identical to
-        ``search()`` (same shared helper as the local searcher,
-        tests/test_distributed.py)."""
-        from .engine import parallel_evaluate
-
-        pq_ = parse_query(query, self.config.bigram_weight,
-                          position_mode=self.config.position_mode)
-        lists, _ = self._collect_lists(pq_, None, None)
-        return parallel_evaluate(pq_, lists, self.n_docs, self.avgdl,
-                                 self.config, k, n_ranges,
-                                 self._part_refs)
-
-    def _collect_lists(self, pq_, deadline, max_list_bytes):
-        """Concurrent fan-out + deadline-gated collection of every term's
-        merged postings (the body shared by the budgeted and parallel
-        paths)."""
+    def _collect_lists(self, pq_, position_ids, deadline, max_list_bytes):
+        """Fetch stage over the pool — the closest analogue of the
+        reference: ``Msg39`` launches every termlist request concurrently
+        and the DEADLINE gates the collection (``Msg39.cpp:429-444``).
+        Terms whose fetches miss the deadline evaluate as absent — but
+        fetches that already COMPLETED are always harvested (an expired
+        deadline does a non-blocking ``ray.get(timeout=0)``, so ready
+        lists are never discarded).  Same contract as
+        :meth:`IndexSearcher._collect_lists`."""
         import time
 
         import ray
 
-        from .engine import _truncate_postings
-
-        phrase_terms = pq_.position_term_ids()
         futures: dict[int, list] = {}
         for t in pq_.terms:
             tid = t.term_id
-            wp = tid in phrase_terms
-            cached = ((tid, True) in self._cache
-                      or (not wp and (tid, False) in self._cache))
-            if tid in futures or cached:
+            wp = tid in position_ids
+            if tid in futures or self._cached(tid, wp) is not MISSING:
                 continue
             futures[tid] = [
                 self._servers[s].get_parts.remote(tid, wp)
@@ -240,10 +109,8 @@ class DistributedSearcher:
             tid = t.term_id
             if tid in lists:
                 continue
-            wp = tid in phrase_terms
-            tp = self._cache.get((tid, True), MISSING)
-            if tp is MISSING and not wp:
-                tp = self._cache.get((tid, False), MISSING)
+            wp = tid in position_ids
+            tp = self._cached(tid, wp)
             if tp is MISSING:
                 fut = futures.get(tid)
                 if fut is None:     # evicted between fan-out and collect
@@ -263,7 +130,7 @@ class DistributedSearcher:
                 tp = self._merge_parts(parts, wp)
                 self._cache.put((tid, wp), tp)
             if tp is not None and max_list_bytes is not None:
-                tp, cut = _truncate_postings(tp, max_list_bytes)
+                tp, cut = _truncate_postings(tp, max_list_bytes, wp)
                 partial = partial or cut
             lists[tid] = tp
         return lists, partial

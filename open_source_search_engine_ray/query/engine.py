@@ -11,6 +11,13 @@ and N/avgdl come from the refreshed live stats — so scores over an
 incrementally-maintained index are exactly those of a fresh build over the
 live corpus (asserted in tests/test_incremental.py).
 
+Every query is one :class:`SearchRequest` run through one staged
+pipeline, :meth:`IndexSearcher.run` — parse → fetch → restrict → evaluate
+→ post, the ``SearchInput::set`` → ``Msg39Request`` → ``Msg39::
+getDocIds2``/``controlLoop`` shape of the reference (``Msg39.h:23-90``,
+``Msg39.cpp:308-466``).  The fan-out coordinator
+(query/distributed.py) is the same searcher with another fetch stage.
+
 It is used three ways: driver-side single-query latency (bench p50);
 inside a Ray actor pool for batch evaluation
 (``queries_ds.map_batches(QueryEvalStage, concurrency=N)`` — the
@@ -21,22 +28,27 @@ tests comparing against the oracle.
 from __future__ import annotations
 
 import os
+import time
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..config import IndexConfig
 from ..index.build import load_meta
 from ..index.manifest import segment_path
+from ..index.merge import (gen_dir, merge_postings, read_generations,
+                           read_tombstones)
 from ..index.segments import SegmentReader, decode_posting_row
 from .cache import MISSING, LruBytesCache, approx_nbytes
-from .kernel import TermPostings, evaluate
+from .kernel import (TermPostings, candidate_docs, evaluate, evaluate_after,
+                     evaluate_rerank, select_plan)
 from .parse import ParsedQuery, parse_query
 
 
-def _truncate_postings(tp: TermPostings,
-                       max_bytes: int) -> tuple[TermPostings, bool]:
+def _truncate_postings(tp: TermPostings, max_bytes: int,
+                       with_positions: bool = False
+                       ) -> tuple[TermPostings, bool]:
     """Cap a decoded list to its first-N postings (docId order) whose
     array payload fits ``max_bytes`` — the per-termlist read cap of the
     reference (``PosdbTable.cpp:1975-1981``, ~30 MB key-ordered
@@ -44,10 +56,12 @@ def _truncate_postings(tp: TermPostings,
     cached object."""
     per_row = float(tp.doc_ids.itemsize + tp.dl.itemsize
                     + tp.tfs.itemsize * tp.tfs.shape[1])
-    if tp.positions is not None:
+    if with_positions:
         # the reference's ~30 MB cap bounds the WHOLE termlist read —
         # positions payloads (phrase/proximity terms) must count too,
-        # at their average per-posting share
+        # at their average per-posting share.  Only when the request
+        # reads them: a cached list may carry positions another request
+        # fetched, and the cut must not depend on that
         flat, offs = tp.positions
         n = max(1, len(tp.doc_ids))
         per_row += offs.itemsize + (flat.size * flat.itemsize) / n
@@ -74,9 +88,9 @@ def _truncate_postings(tp: TermPostings,
 # target postings per docId range of the parallel exact path — below
 # this per-range size, task fixed costs beat the kernel time saved
 PARALLEL_MIN_POSTINGS = 150_000
-
-_EMPTY_U64 = np.zeros(0, np.uint64)
-_EMPTY_I32 = np.zeros(0, np.int32)
+# lists this long get block maxima recomputed when the stored ones do not
+# apply (tests lower it to reach the recompute on a small index)
+BLOCK_MAX_MIN_DF = 4096
 
 
 def _check_attr_table(table: tuple, name: str):
@@ -96,9 +110,9 @@ def _check_attr_table(table: tuple, name: str):
 
 def _attr_join(fids: np.ndarray, fvals: np.ndarray, ids: np.ndarray):
     """Sorted-membership join: → ``(values aligned to ids, hit mask)``;
-    ``(None, all-False)`` when the table is empty."""
+    values where the mask is False are filler."""
     if len(fids) == 0:
-        return None, np.zeros(len(ids), dtype=bool)
+        return np.zeros(len(ids), fvals.dtype), np.zeros(len(ids), bool)
     pos = np.clip(np.searchsorted(fids, ids), 0, len(fids) - 1)
     hit = fids[pos] == ids
     return fvals[pos], hit
@@ -148,7 +162,7 @@ def _slice_postings(tp: TermPostings, lo: int, hi: int
 
 def _eval_docid_range(refs: dict, pq_: ParsedQuery, lo: int, hi: int,
                       n_docs: int, avgdl: float, config: IndexConfig,
-                      k: int):
+                      k: int, prior):
     """One docId range of a range-split query: slice every term's list to
     [lo, hi), run the exact kernel, return the range-local top-k.  Term
     payloads arrive as object refs inside ``refs`` (NOT auto-resolved —
@@ -164,7 +178,8 @@ def _eval_docid_range(refs: dict, pq_: ParsedQuery, lo: int, hi: int,
         tp = TermPostings(doc_ids=d["doc_ids"], tfs=d["tfs"], dl=d["dl"],
                           df=int(d["df"]), positions=d.get("positions"))
         lists[tid] = _slice_postings(tp, lo, hi)
-    return evaluate(pq_, lists, n_docs, avgdl, config, k, prune=False)
+    return evaluate(pq_, lists, n_docs, avgdl, config, k, prune=False,
+                    prior=prior)
 
 
 _RANGE_TASK = None
@@ -179,29 +194,44 @@ def _get_range_task():
     return _RANGE_TASK
 
 
+def _range_count(lists: dict[int, TermPostings | None], n_ranges) -> int:
+    """DocId ranges a split request evaluates over: ``"auto"`` sizes them
+    to ~PARALLEL_MIN_POSTINGS postings (at most 16); below 2 — or with no
+    Ray session — the single-process kernel runs instead."""
+    import ray
+
+    total = sum(len(tp.doc_ids) for tp in lists.values() if tp is not None)
+    if n_ranges == "auto":
+        n_ranges = min(16, total // PARALLEL_MIN_POSTINGS)
+    return int(n_ranges) if total and ray.is_initialized() else 0
+
+
 def parallel_evaluate(pq_: ParsedQuery,
                       lists: dict[int, TermPostings | None],
                       n_docs: int, avgdl: float, config: IndexConfig,
-                      k: int, n_ranges: int | None,
-                      part_refs: dict):
-    """Shared docId-range-split evaluation used by both the local and the
-    distributed searcher (the lists are already in coordinator memory
-    either way).  ``part_refs`` is the caller's (term, positions?) →
-    ObjectRef cache so repeated queries over hot terms pay ``ray.put``
-    once; it is an :class:`LruBytesCache` bounded by the PAYLOAD bytes
-    each ref pins in the object store (a count bound would let 256
-    hot-term lists pin gigabytes), and eviction drops the driver's
-    reference so Ray reclaims the copy."""
+                      k: int, n_ranges: int,
+                      part_refs: LruBytesCache | None, prior=None):
+    """EXACT intra-query parallelism: split the docId space into
+    ``n_ranges`` ranges, evaluate each range in a Ray task over zero-copy
+    slices of the broadcast posting arrays, merge the range top-ks — the
+    reference's per-query docid-range split (``Msg39.cpp:411-466`` splits
+    each query across hosts by docid range; ``JobScheduler.h:26-31`` runs
+    the intersect threads).  BM25F is doc-local (df / N / avgdl stay
+    global, every other input is the doc's own row, a prior multiplies
+    per doc), so the (score desc, docId asc) merge reproduces the
+    single-process ranking exactly.
+
+    ``part_refs`` is the caller's (term, positions?) → ObjectRef cache so
+    repeated queries over hot terms pay ``ray.put`` once; it is an
+    :class:`LruBytesCache` bounded by the PAYLOAD bytes each ref pins in
+    the object store (a count bound would let 256 hot-term lists pin
+    gigabytes), and eviction drops the driver's reference so Ray
+    reclaims the copy.  ``None`` when the lists are not the cached ones
+    (restricted or truncated): their refs must not be reused."""
     import ray
 
     from ..functions.bm25 import topk_merge
 
-    sizes = [len(tp.doc_ids) for tp in lists.values() if tp is not None]
-    total = int(np.sum(sizes)) if sizes else 0
-    if n_ranges is None:
-        n_ranges = min(16, total // PARALLEL_MIN_POSTINGS)
-    if n_ranges <= 1 or not sizes or not ray.is_initialized():
-        return evaluate(pq_, lists, n_docs, avgdl, config, k)
     # boundaries: quantile docIds of the LARGEST list (the dominant
     # scan), so ranges carry near-equal work even under docId skew
     big = max((tp.doc_ids for tp in lists.values()
@@ -217,18 +247,19 @@ def parallel_evaluate(pq_: ParsedQuery,
             refs[tid] = None
             continue
         key = (tid, tp.positions is not None)
-        ref = part_refs.get(key)
+        ref = part_refs.get(key) if part_refs is not None else None
         if ref is None:
             d = {"doc_ids": tp.doc_ids, "tfs": tp.tfs, "dl": tp.dl,
                  "df": int(tp.df)}
             if tp.positions is not None:
                 d["positions"] = tp.positions
             ref = ray.put(d)
-            part_refs.put(key, ref, size=approx_nbytes(d))
+            if part_refs is not None:
+                part_refs.put(key, ref, size=approx_nbytes(d))
         refs[tid] = ref
     task = _get_range_task()
     futs = [task.remote(refs, pq_, int(lo), int(hi), n_docs,
-                        avgdl, config, k)
+                        avgdl, config, k, prior)
             for lo, hi in zip(bounds[:-1], bounds[1:])]
     parts = ray.get(futs)
     docs = np.concatenate([p[0] for p in parts])
@@ -269,11 +300,15 @@ class _GenIndex:
                 return list(range(base, base + self.s))
         return [int(t % np.uint64(self.p))]
 
-    def raw_postings(self, term_id: int,
-                     with_positions: bool = False) -> list[dict]:
+    def raw_postings(self, term_id: int, with_positions: bool = False,
+                     owned: frozenset | None = None) -> list[dict]:
+        """Decoded rows of ``term_id`` in this generation, one per shard
+        holding it — only the ``owned`` shards when given (a shard
+        server's share)."""
         decoded = []
         for shard in self.shards_for_term(term_id):
-            rd = self._reader(shard)
+            rd = (self._reader(shard) if owned is None or shard in owned
+                  else None)
             if rd is None:
                 continue
             tbl = rd.read_terms([term_id], with_positions=with_positions)
@@ -282,20 +317,230 @@ class _GenIndex:
         return decoded
 
 
+def open_generations(index_dir: str) -> list[_GenIndex]:
+    """Every generation of an index, oldest first."""
+    gens = read_generations(index_dir)["generations"]
+    return [_GenIndex(g["gen"], gen_dir(index_dir, g["gen"]))
+            for g in sorted(gens, key=lambda g: g["gen"])]
+
+
+@dataclass
+class SearchRequest:
+    """One query with every option the pipeline takes (the
+    ``SearchInput``/``Msg39Request`` analogue).  Unset options keep their
+    defaults; :meth:`validate` refuses combinations that have no single
+    meaning, before any list is fetched.
+
+    Parse: ``lang`` picks the query stopwords.  ``synonyms`` is a
+    token→alternatives dict, or ``"default"`` for the shipped
+    number-variant + curated-set + word-variation table
+    (functions/synonyms.py), expanded in the query language.
+    ``wiki_bigrams`` is a phrase dictionary (or ``"default"`` for the
+    shipped curated set): bigram boost terms whose pair is in it get the
+    ``WIKI_BIGRAM_WEIGHT²`` boost (functions/wiki_phrases.py;
+    ``PosdbTable.cpp:436``).  ``qlang`` is the query language of the
+    ``PosdbTable.cpp:3918`` ``langWeight``: it is also the parse
+    language, and documents whose classified language (query/langprior.py,
+    built from the live docstore on first use) differs score
+    ×``lang_weight`` (default ``DEFAULT_LANG_WEIGHT``).
+
+    Scoring: ``field_weights`` overrides the per-role/tool weights (the
+    reference's per-search ``&hgw_*`` parms, ``Parms.cpp:3730-3875``); the
+    tf side re-weights exactly, the per-posting doc length stays frozen
+    at build weights (the oracle applies the same rule).  ``doc_prior``
+    is a ``(sorted_doc_ids uint64, multipliers float64)`` static prior:
+    score = BM25F × multiplier, 1.0 for absent docs — the SiteRank /
+    doc-flag multiplier (``PosdbTable.cpp:3686-3693,3901-3941``).
+    ``rerank="proximity"`` applies the term-pair min-distance boost over
+    the top-(oversample·k) BM25F page (:func:`kernel.evaluate_rerank`).
+
+    Fetch budget (``Msg39.cpp:429-444`` deadline, ``PosdbTable.cpp:
+    1975-1981`` termlist cap): ``timeout_ms`` is checked before each
+    term's list fetch — a term whose fetch would start past it is absent;
+    ``max_list_bytes`` truncates each list to the docId-ordered prefix
+    that fits.  Either sets ``partial``; the results are the exact
+    evaluation over the surviving lists, and an unhit budget changes
+    nothing.
+
+    Restrict: ``doc_ids`` evaluates over only those documents (the
+    ``gbdocid:`` ``m_docIdRestriction``, ``Query.cpp:287-297``); df/idf
+    stay global, so the result is a full-depth ranking filtered to the
+    set.
+
+    Evaluate: ``n_ranges`` (an int, or ``"auto"`` to size ranges to
+    ~PARALLEL_MIN_POSTINGS postings) splits the docId space across Ray
+    tasks, exactly (:func:`parallel_evaluate`).  ``after=(score, doc_id)``
+    returns the ``k`` results strictly after that cursor
+    (``PosdbTable.cpp:3948-3983`` ``minSerpDocId``/``maxSerpScore``); the
+    cursor filters BEFORE top-k selection (:func:`kernel.evaluate_after`),
+    so a step costs the same at any depth.  ``telemetry`` (a dict) makes
+    it a cursor request even without ``after`` and receives its
+    ``scanned``/``pool`` counts.
+
+    Post: results are ranks ``[offset, offset + k)``
+    (``SearchInput.h:177-178``); ``with_total`` adds the EXACT match count
+    (``Msg39.cpp:486-523``).  ``facet`` (``"lang"``: the doclang
+    classification) or ``facet_table=(sorted_doc_ids, values)`` asks for
+    the top-``k_facets`` histogram of the attribute over the exact
+    matching set instead of a page (``gbfacetstr:``/``gbfacetint:``,
+    ``Query.cpp:1388-1779``).  ``attr_table=(sorted_doc_ids, numeric
+    values)`` asks for the top-k matches by (value, docId asc),
+    ``descending`` and within ``[min_val, max_val]`` (``gbsortby:`` +
+    ``gbmin:``/``gbmax:``, ``Query.cpp:1700-1720,3150``); integer values
+    keep integer ordering, docs absent from the table are dropped."""
+
+    query: str
+    k: int = 10
+    lang: str = "en"
+    synonyms: dict[str, list[str]] | str | None = None
+    wiki_bigrams: frozenset | str | None = None
+    qlang: str | None = None
+    lang_weight: float | None = None
+    field_weights: tuple | None = None
+    doc_prior: tuple | None = None
+    rerank: str | None = None
+    oversample: int = 4
+    timeout_ms: float | None = None
+    max_list_bytes: int | None = None
+    doc_ids: np.ndarray | list[int] | None = None
+    n_ranges: int | str | None = None
+    after: tuple | None = None
+    telemetry: dict | None = None
+    offset: int = 0
+    with_total: bool = False
+    facet: str | None = None
+    k_facets: int = 10
+    facet_table: tuple | None = None
+    attr_table: tuple | None = None
+    descending: bool = True
+    min_val: float | None = None
+    max_val: float | None = None
+
+    def options(self) -> set[str]:
+        """Names of the options set away from their defaults."""
+        return {name for name, default in _DEFAULTS
+                if (getattr(self, name) is not None if default is None
+                    else getattr(self, name) != default)}
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` for a request the pipeline refuses."""
+        on = self.options()
+        for a, b in _REFUSED:
+            if on & a and on & b:
+                raise ValueError(f"{'/'.join(sorted(on & a))} cannot be "
+                                 f"combined with {'/'.join(sorted(on & b))}")
+        if "lang_weight" in on and "qlang" not in on:
+            raise ValueError("lang_weight needs qlang")
+        if self.rerank not in (None, "proximity"):
+            raise ValueError(f"unknown rerank {self.rerank!r}")
+        if self.facet not in (None, "lang") and self.facet_table is None:
+            raise ValueError(
+                f"unknown facet {self.facet!r}: use 'lang' or pass "
+                "facet_table")
+
+
+_DEFAULTS = [(f.name, f.default) for f in fields(SearchRequest)[1:]]
+# facet and sortby requests answer over the exact matching set: options
+# that only order or page a ranking do not apply to them
+_RANKING = {"rerank", "doc_prior", "qlang", "field_weights", "n_ranges",
+            "after", "telemetry", "offset", "with_total"}
+_FACET = {"facet", "facet_table"}
+# (a, b): a request sets options of a or of b, never of both
+_REFUSED = [
+    # one evaluator per request, and one kind of paging
+    ({"after", "telemetry"}, {"offset", "rerank", "n_ranges"}),
+    ({"rerank"}, {"n_ranges"}),
+    # the boost and a static multiplier compose ambiguously
+    # (boost-then-multiply vs multiply-then-boost differ)
+    ({"rerank"}, {"doc_prior", "qlang"}),
+    ({"doc_prior"}, {"qlang"}),
+    (_FACET, _RANKING | {"attr_table"}),
+    ({"attr_table"}, _RANKING),
+]
+
+
+@dataclass
+class SearchResult:
+    """``doc_ids``/``scores`` of the page (for a sortby request, the
+    attribute values); ``total`` with ``with_total`` (and for facets);
+    ``cursor``, the ``after`` that continues a full page under the same
+    options; ``partial`` when the fetch budget was hit;
+    ``facets=(values, counts)`` of a facet request."""
+
+    doc_ids: np.ndarray
+    scores: np.ndarray
+    total: int | None = None
+    cursor: tuple | None = None
+    partial: bool = False
+    facets: tuple | None = None
+
+
+def _restrict(lists: dict[int, TermPostings | None],
+              doc_ids) -> dict[int, TermPostings | None]:
+    """Each list cut to the postings of ``doc_ids``
+    (:func:`_select_postings`: df stays global, block maxima dropped)."""
+    restrict = np.unique(np.asarray(list(doc_ids), dtype=np.uint64))
+    out: dict[int, TermPostings | None] = {}
+    for tid, tp in lists.items():
+        if tp is None:
+            out[tid] = None
+            continue
+        # probe the SMALL side into the list: O(|restrict| log n) per
+        # term, not O(n log |restrict|) — a hot-term list is orders of
+        # magnitude longer than a candidate set
+        idx = np.minimum(np.searchsorted(tp.doc_ids, restrict),
+                         len(tp.doc_ids) - 1)
+        found = tp.doc_ids[idx] == restrict
+        out[tid] = _select_postings(tp, idx[found].astype(np.int64))
+    return out
+
+
+def _facet_counts(fids: np.ndarray, fvals: np.ndarray, ids: np.ndarray,
+                  k: int):
+    """Top-``k`` ``(values, counts)`` of the attribute over ``ids``,
+    ranked (count desc, value asc) with values compared in their own
+    dtype (numbers numerically).  Docs absent from the table count as
+    ``"unknown"``, ranked by the same rule among string values and after
+    the values of its count otherwise."""
+    joined, hit = _attr_join(fids, fvals, ids)
+    uniq, cnt = np.unique(joined[hit], return_counts=True)
+    order = np.lexsort((uniq, -cnt))
+    vals, counts = uniq[order].tolist(), cnt[order].tolist()
+    miss = len(ids) - int(hit.sum())
+    if miss:
+        at = next((i for i, (v, c) in enumerate(zip(vals, counts))
+                   if c < miss or (c == miss and isinstance(v, str)
+                                   and v > "unknown")), len(vals))
+        vals.insert(at, "unknown")
+        counts.insert(at, miss)
+    return vals[:k], np.asarray(counts[:k], dtype=np.int64)
+
+
+def _sort_by_attr(req: SearchRequest, fids: np.ndarray, fvals: np.ndarray,
+                  ids: np.ndarray):
+    """Top-k matches by (attribute, docId asc) within the request's
+    bounds → ``(doc_ids, values)``."""
+    joined, hit = _attr_join(fids, fvals, ids)
+    ids, vals = ids[hit], joined[hit]
+    keep = np.ones(len(ids), dtype=bool)
+    if req.min_val is not None:
+        keep &= vals >= req.min_val
+    if req.max_val is not None:
+        keep &= vals <= req.max_val
+    ids, vals = ids[keep], vals[keep]
+    order = np.lexsort((ids, -vals if req.descending else vals))[:req.k]
+    return ids[order], vals[order]
+
+
 class IndexSearcher:
     def __init__(self, index_dir: str, cache_bytes: int = 256 << 20):
-        from ..index.merge import gen_dir, read_generations, read_tombstones
-
         self.index_dir = index_dir
-        gens_doc = read_generations(index_dir)
-        self._gens = [
-            _GenIndex(g["gen"], gen_dir(index_dir, g["gen"]))
-            for g in sorted(gens_doc["generations"], key=lambda g: g["gen"])]
+        self._gens = open_generations(index_dir)
         self.meta = self._gens[0].meta
         cfg = dict(self.meta["config"])
         cfg["field_weights"] = tuple(cfg["field_weights"])
         self.config = IndexConfig(**cfg)
-        live = gens_doc.get("live_stats")
+        live = read_generations(index_dir).get("live_stats")
         if live:
             self.n_docs = int(live["n_docs"])
             self.avgdl = float(live["avgdl"])
@@ -313,69 +558,49 @@ class IndexSearcher:
         # full payload in the object store until evicted
         self._part_refs = LruBytesCache(cache_bytes)
 
-    def _dead_mask(self, doc_ids: np.ndarray, gen: int) -> np.ndarray:
-        """True where the doc is tombstoned for this generation — the
-        tombstone half of :func:`index.merge.live_keep_mask` (postings
-        resolve newest-generation-wins during the merge itself, so only
-        annihilation applies here)."""
-        from ..index.merge import live_keep_mask
+    # -- fetch ---------------------------------------------------------
 
-        if len(self.tomb_doc) == 0 or len(doc_ids) == 0:
-            return np.zeros(len(doc_ids), dtype=bool)
-        return ~live_keep_mask(doc_ids, gen, _EMPTY_U64, _EMPTY_I32,
-                               self.tomb_doc, self.tomb_dead)
+    def _cached(self, term_id: int, with_positions: bool):
+        """The cached merged list that serves a fetch (one with positions
+        serves one without), or MISSING."""
+        hit = self._cache.get((term_id, with_positions), MISSING)
+        if hit is MISSING and not with_positions:
+            hit = self._cache.get((term_id, True), MISSING)
+        return hit
 
     def get_postings(self, term_id: int,
                      with_positions: bool = False) -> TermPostings | None:
-        key = (term_id, with_positions)
-        hit = self._cache.get(key, MISSING)
-        if hit is MISSING:
-            hit = self._cache.get((term_id, True), MISSING)
+        hit = self._cached(term_id, with_positions)
         if hit is not MISSING:
             return hit
-        from ..functions.ragged import ragged_concat, ragged_select
+        tp = self._merge_parts(
+            [(g.gen, d) for g in self._gens
+             for d in g.raw_postings(term_id, with_positions)],
+            with_positions)
+        self._cache.put((term_id, with_positions), tp)
+        return tp
 
-        docs_parts, tfs_parts, dl_parts, pos_parts = [], [], [], []
-        single_bm = None
-        n_parts = 0
-        for g in self._gens:
-            for d in g.raw_postings(term_id, with_positions):
-                alive = ~self._dead_mask(d["doc_ids"], g.gen)
-                if not alive.any():
-                    continue
-                n_parts += 1
-                single_bm = d["block_max"] if alive.all() else None
-                docs_parts.append(d["doc_ids"][alive])
-                tfs_parts.append(d["tfs"][alive])
-                dl_parts.append(d["dl"][alive])
-                if with_positions:
-                    flat, offs = d["positions"]
-                    if alive.all():
-                        pos_parts.append((flat, offs))
-                    else:
-                        pos_parts.append(ragged_select(
-                            flat, offs, np.flatnonzero(alive)))
-        if not docs_parts:
-            self._cache.put(key, None)
+    def _merge_parts(self, parts: list[tuple[int, dict]],
+                     with_positions: bool) -> TermPostings | None:
+        """One term's ``(gen, decoded part)`` list → its live postings,
+        merged by :func:`index.merge.merge_postings`, with block maxima
+        for the pruned plans."""
+        m = merge_postings(parts, (self.tomb_doc, self.tomb_dead),
+                           with_positions)
+        if m is None:
             return None
-        docs = np.concatenate(docs_parts)
-        tfs = np.concatenate(tfs_parts)
-        dl = np.concatenate(dl_parts)
-        order = np.argsort(docs, kind="stable")
         # stored block maxima are admissible only for an untouched
         # single-generation single-split list scored with the build avgdl
-        stored_ok = (n_parts == 1 and single_bm is not None
-                     and len(self._gens) == 1
+        stored_ok = (m["block_max"] is not None and len(self._gens) == 1
                      and len(self.tomb_doc) == 0
                      and float(self.meta["avgdl"]) == self.avgdl)
         tp = TermPostings(
-            doc_ids=docs[order], tfs=tfs[order], dl=dl[order],
-            df=int(len(docs)),
-            positions=None,
-            # a copy: the decoded block maxima view the segment read's buffers,
-            # which the cache budget does not count
-            block_max=single_bm.copy() if stored_ok else None)
-        if tp.block_max is None and tp.df >= 4096:
+            doc_ids=m["doc_ids"], tfs=m["tfs"], dl=m["dl"],
+            df=int(len(m["doc_ids"])), positions=m.get("positions"),
+            # a copy: the decoded block maxima view the segment read's
+            # buffers, which the cache budget does not count
+            block_max=m["block_max"].copy() if stored_ok else None)
+        if tp.block_max is None and tp.df >= BLOCK_MAX_MIN_DF:
             # recompute (once, cached): salted/merged/maintained lists keep
             # a pruning path too — the cost is one scan, amortized across
             # queries hitting this term
@@ -388,133 +613,17 @@ class IndexSearcher:
             tp.block_max = max_block_impact(
                 tfw, tp.dl, self.avgdl, self.config.k1, self.config.b,
                 self.config.block_size)
-        if with_positions:
-            flat_all, offs_all = ragged_concat(pos_parts)
-            tp.positions = ragged_select(flat_all, offs_all, order)
-        self._cache.put(key, tp)
         return tp
 
-    def _lists_for(self, pq_: ParsedQuery,
-                   extra_position_ids: set[int] = frozenset()
-                   ) -> dict[int, TermPostings | None]:
-        phrase_terms = pq_.position_term_ids() | set(extra_position_ids)
-        lists: dict[int, TermPostings | None] = {}
-        for t in pq_.terms:
-            if t.term_id not in lists:
-                lists[t.term_id] = self.get_postings(
-                    t.term_id, with_positions=t.term_id in phrase_terms)
-        return lists
-
-    def search(self, query: str, k: int = 10,
-               synonyms: dict[str, list[str]] | None = None,
-               field_weights: tuple | None = None,
-               lang: str = "en", rerank: str | None = None,
-               oversample: int = 4,
-               wiki_bigrams: frozenset | None = None,
-               doc_prior=None):
-        """→ (doc_ids, scores) exact BM25F top-k.
-
-        ``doc_prior`` is an optional ``(sorted_doc_ids uint64,
-        multipliers float64)`` static per-document prior (e.g. a quality
-        score): final score = BM25F × multiplier, missing docs get 1.0 —
-        the SiteRank / doc-flag score-multiplier analogue
-        (``PosdbTable.cpp:3686-3693,3901-3941``).  Pruned plans are
-        bypassed when a prior is active (their bounds don't include it);
-        results stay oracle-shared via the common kernel.
-
-        ``rerank="proximity"`` applies the term-pair min-distance boost
-        over the top-(oversample·k) BM25F page
-        (:func:`kernel.evaluate_rerank` — the ``PosdbTable`` term-pair
-        signal under the BM25F contract); positions of every scoring term
-        are fetched for it.
-
-        ``field_weights`` overrides the per-role/tool weights for this
-        query (the reference's per-search ``&hgw_*`` parms,
-        ``Parms.cpp:3730-3875``).  The tf side re-weights exactly; the
-        per-posting doc length stays frozen at build weights (documented
-        contract — the oracle applies the same rule).  Pruning bounds are
-        only valid for build weights, so overrides evaluate exactly.
-
-        ``synonyms`` is a token→alternatives dict, or the string
-        ``"default"`` for the shipped number-variant + curated-set +
-        word-variation table (functions/synonyms.py).
-
-        ``wiki_bigrams`` is a phrase dictionary (or ``"default"`` for the
-        shipped curated set): bigram boost terms whose pair is in the
-        dictionary get the ``WIKI_BIGRAM_WEIGHT²`` boost
-        (functions/wiki_phrases.py; ``PosdbTable.cpp:436``)."""
-        from dataclasses import replace
-
-        if rerank == "proximity" and doc_prior is not None:
-            # refusing beats silently ignoring the prior: the rerank
-            # boost and the static multiplier compose ambiguously
-            # (boost-then-multiply vs multiply-then-boost differ) —
-            # validated BEFORE any list fetch
-            raise ValueError(
-                "doc_prior is not supported with rerank='proximity'")
-        if synonyms == "default":
-            from ..functions.synonyms import synonyms_table
-            synonyms = synonyms_table(lang)   # expansion follows qlang
-        if wiki_bigrams == "default":
-            from ..functions.wiki_phrases import DEFAULT_WIKI_BIGRAMS
-            wiki_bigrams = DEFAULT_WIKI_BIGRAMS
-        pq_ = parse_query(query, self.config.bigram_weight,
-                          synonyms=synonyms, lang=lang,
-                          position_mode=self.config.position_mode,
-                          wiki_bigrams=wiki_bigrams)
-        extra: set[int] = set()
-        if rerank == "proximity":
-            extra = {t.term_id for t in pq_.terms
-                     if not t.negative and not t.is_bigram}
-        lists = self._lists_for(pq_, extra)
-        cfg = self.config
-        prune = True
-        if field_weights is not None and \
-                tuple(field_weights) != tuple(cfg.field_weights):
-            cfg = replace(cfg, field_weights=tuple(field_weights))
-            prune = False
-        if rerank == "proximity":
-            from .kernel import evaluate_rerank
-
-            return evaluate_rerank(pq_, lists, self.n_docs, self.avgdl,
-                                   cfg, k, prune=prune,
-                                   oversample=oversample)
-        return evaluate(pq_, lists, self.n_docs, self.avgdl, cfg, k,
-                        prune=prune, prior=doc_prior)
-
-    def search_budgeted(self, query: str, k: int = 10,
-                        timeout_ms: float | None = None,
-                        max_list_bytes: int | None = None,
-                        lang: str = "en"):
-        """Budgeted search → ``(doc_ids, scores, partial)``.
-
-        The reference caps every query two ways: a deadline that returns
-        PARTIAL results when the docid-range walk runs out of time
-        (``Msg39.cpp:429-444``) and a ~30 MB per-termlist read cap
-        (``PosdbTable.cpp:1975-1981``).  Analogues here:
-
-        - ``timeout_ms``: checked before each term's posting-list FETCH
-          (the I/O-dominant stage — the unit of work, like the
-          reference's docid-range splits); terms whose fetch would start
-          past the deadline are treated as absent and ``partial=True``.
-        - ``max_list_bytes``: each decoded list is truncated to its
-          first N postings (docId order — the reference truncates the
-          key-ordered termlist read identically) such that the array
-          payload fits the cap; any truncation sets ``partial=True``.
-
-        Results are the exact evaluation over the (possibly truncated)
-        lists — deterministic for a given budget.  ``partial=False``
-        means the budget was never hit and the results equal an
-        unbudgeted :meth:`search`."""
-        import time
-
-        deadline = (time.monotonic() + timeout_ms / 1000.0
-                    if timeout_ms is not None else None)
-        pq_ = parse_query(query, self.config.bigram_weight, lang=lang,
-                          position_mode=self.config.position_mode)
-        phrase_terms = pq_.position_term_ids()
+    def _collect_lists(self, pq_: ParsedQuery, position_ids: set[int],
+                       deadline: float | None, max_list_bytes: int | None):
+        """Fetch stage → ``(lists, partial)``: every term's merged
+        postings (with positions for ``position_ids``).  Past the
+        ``deadline`` (``time.monotonic()``) a term's fetch is skipped and
+        the term is absent; ``max_list_bytes`` truncates each list
+        (:func:`_truncate_postings`).  Either sets ``partial``."""
         partial = False
-        lists: dict[int, object] = {}
+        lists: dict[int, TermPostings | None] = {}
         for t in pq_.terms:
             if t.term_id in lists:
                 continue
@@ -522,243 +631,155 @@ class IndexSearcher:
                 lists[t.term_id] = None
                 partial = True
                 continue
-            tp = self.get_postings(t.term_id,
-                                   with_positions=t.term_id in phrase_terms)
+            wp = t.term_id in position_ids
+            tp = self.get_postings(t.term_id, with_positions=wp)
             if tp is not None and max_list_bytes is not None:
-                tp, trunc = _truncate_postings(tp, max_list_bytes)
-                partial = partial or trunc
+                tp, cut = _truncate_postings(tp, max_list_bytes, wp)
+                partial = partial or cut
             lists[t.term_id] = tp
-        docs, scores = evaluate(pq_, lists, self.n_docs, self.avgdl,
-                                self.config, k, prune=not partial)
-        return docs, scores, partial
+        return lists, partial
 
-    def search_parallel(self, query: str, k: int = 10,
-                        n_ranges: int | None = None, lang: str = "en"):
-        """EXACT intra-query parallelism: split the docId space into
-        ranges, evaluate each range in a Ray task over zero-copy slices
-        of the broadcast posting arrays, merge the range top-ks — the
-        reference's per-query docid-range split (``Msg39.cpp:411-466``
-        splits each query across hosts by docid range;
-        ``JobScheduler.h:26-31`` runs the intersect threads).
+    # -- the pipeline --------------------------------------------------
 
-        BM25F is doc-local (df / N / avgdl stay global, every other input
-        is the doc's own row), so per-doc scores are bit-identical to
-        :meth:`search` and the (score desc, docId asc) merge reproduces
-        its ranking exactly (tests/test_distributed.py).  Unlike
-        :meth:`search_budgeted` this is the exact path for pathological
-        conjunctions — no flagged partial results.
+    def run(self, req: SearchRequest) -> SearchResult:
+        """Answer one request through the fixed stages: parse → fetch →
+        restrict → evaluate → post."""
+        req.validate()
+        table = self._attr_table(req)
+        pq_, prior, lists, partial = self._prepare(req)
+        if table is not None:
+            ids = candidate_docs(pq_, lists)
+            if req.attr_table is not None:
+                return SearchResult(*_sort_by_attr(req, *table, ids),
+                                    partial=partial)
+            return SearchResult(
+                ids[:0], np.zeros(0), total=int(len(ids)), partial=partial,
+                facets=_facet_counts(*table, ids, req.k_facets))
+        docs, scores = self._evaluate(req, pq_, lists, prior, partial)
+        docs, scores = docs[req.offset:], scores[req.offset:]
+        # no cursor after a reranked page: the boost reorders the ranking
+        # a cursor request continues
+        full = len(docs) == req.k and req.rerank is None
+        return SearchResult(
+            docs, scores,
+            total=(int(len(candidate_docs(pq_, lists)))
+                   if req.with_total else None),
+            cursor=(float(scores[-1]), int(docs[-1])) if full else None,
+            partial=partial)
 
-        ``n_ranges=None`` sizes ranges to ~PARALLEL_MIN_POSTINGS postings
-        and falls back to the single-process kernel for small queries."""
-        pq_ = parse_query(query, self.config.bigram_weight, lang=lang,
-                          position_mode=self.config.position_mode)
-        lists = self._lists_for(pq_)
-        return parallel_evaluate(pq_, lists, self.n_docs, self.avgdl,
-                                 self.config, k, n_ranges,
-                                 self._part_refs)
+    def search(self, query: str, k: int = 10, **options):
+        """``run(SearchRequest(query, k, **options))`` → ``(doc_ids,
+        scores)``: exact BM25F top-k."""
+        res = self.run(SearchRequest(query, k, **options))
+        return res.doc_ids, res.scores
 
-    def search_lang(self, query: str, k: int = 10, qlang: str = "en",
-                    lang_weight: float | None = None):
-        """Query-language-weighted search (``PosdbTable.cpp:3918``
-        ``langWeight`` under the ``qlang`` parm, ``SearchInput.cpp``):
-        documents whose classified language (query/langprior.py — built
-        from the live docstore on first use) differs from ``qlang``
-        score ×``lang_weight``.  Rides the doc_prior hook, so engine and
-        oracle share the kernel."""
-        from .langprior import DEFAULT_LANG_WEIGHT, language_prior
-
-        w = DEFAULT_LANG_WEIGHT if lang_weight is None else lang_weight
-        prior = language_prior(self.index_dir, qlang, w)
-        return self.search(query, k, lang=qlang, doc_prior=prior)
-
-    def search_facets(self, query: str, facet: str = "lang",
-                      k_facets: int = 10, lang: str = "en",
-                      facet_table: tuple | None = None):
-        """Facet query — the ``gbfacetstr:``/``gbfacetint:`` analogue
-        (``Query.cpp:1388-1779`` facet terms; ``html/faq.html:360-361``
-        "facets over fields"): the histogram of a per-document attribute
-        over the EXACT matching set (``candidate_docs`` — every match,
-        not the top-k page), ranked (count desc, value asc).
-
-        Returns ``(values, counts, total_matches)``.  ``facet="lang"``
-        facets over the doclang classification (built from the live
-        docstore on first use, staleness-tokened); ``facet_table=
-        (sorted_doc_ids uint64, values)`` facets over any caller
-        attribute (the reference faceted arbitrary hashed fields)."""
-        from .kernel import candidate_docs
-
-        if facet_table is not None:
-            fids, fvals = _check_attr_table(facet_table, "facet_table")
-        elif facet == "lang":
+    def _attr_table(self, req: SearchRequest):
+        """The validated ``(sorted ids, values)`` table of a facet or
+        sortby request; None for a ranked one."""
+        if req.attr_table is not None:
+            fids, fvals = _check_attr_table(req.attr_table, "attr_table")
+            if fvals.dtype.kind == "u":
+                if len(fvals) and int(fvals.max()) >= (1 << 63):
+                    raise ValueError("uint64 attribute values >= 2^63 are "
+                                     "not sortable (int64 negate overflow)")
+                fvals = fvals.astype(np.int64)
+            elif fvals.dtype.kind not in "if":
+                fvals = np.asarray(fvals, dtype=np.float64)
+            return fids, fvals
+        if req.facet_table is not None:
+            return _check_attr_table(req.facet_table, "facet_table")
+        if req.facet == "lang":
             from .langprior import doclang_cached
 
-            fids, fvals = doclang_cached(self.index_dir)
-        else:
-            raise ValueError(
-                f"unknown facet {facet!r}: use 'lang' or pass facet_table")
-        pq_ = parse_query(query, self.config.bigram_weight, lang=lang,
-                          position_mode=self.config.position_mode)
-        ids = candidate_docs(pq_, self._lists_for(pq_))
-        total = int(len(ids))
-        if total == 0:
-            return [], np.zeros(0, np.int64), 0
-        joined, hit = _attr_join(fids, fvals, ids)
-        vals = (np.where(hit, joined, "unknown") if joined is not None
-                else np.full(total, "unknown", dtype=object))
-        uniq, cnt = np.unique(vals, return_counts=True)
-        order = np.lexsort((uniq, -cnt))[:k_facets]
-        return [str(v) for v in uniq[order]], cnt[order].astype(np.int64), \
-            total
+            return doclang_cached(self.index_dir)
+        return None
 
-    def search_docids(self, query: str, doc_ids, k: int = 10,
-                      lang: str = "en"):
-        """DocId-restricted search — the ``gbdocid:`` surface
-        (``Query.cpp:287-297`` ``m_docIdRestriction``): evaluate the
-        query over ONLY the given documents and return their top-k by
-        the normal relevance order.  Scores are identical to the
-        unrestricted search (df/idf stay global — the same contract as
-        the parallel path's range slices), so the result equals
-        filtering a full-depth search to this doc set."""
-        restrict = np.unique(np.asarray(list(doc_ids), dtype=np.uint64))
-        pq_ = parse_query(query, self.config.bigram_weight, lang=lang,
-                          position_mode=self.config.position_mode)
-        lists = self._lists_for(pq_)
-        sliced: dict[int, TermPostings | None] = {}
-        for tid, tp in lists.items():
-            if tp is None or len(tp.doc_ids) == 0:
-                sliced[tid] = None
-                continue
-            # probe the SMALL side into the list: O(|restrict| log n)
-            # per term, not O(n log |restrict|) — a hot-term list is
-            # orders of magnitude longer than a candidate set
-            idx = np.minimum(np.searchsorted(tp.doc_ids, restrict),
-                             len(tp.doc_ids) - 1)
-            found = tp.doc_ids[idx] == restrict
-            sliced[tid] = _select_postings(tp, idx[found].astype(np.int64))
-        # prune=False: block-max bounds belong to the full lists
-        return evaluate(pq_, sliced, self.n_docs, self.avgdl,
-                        self.config, k, prune=False)
-
-    def search_sortby(self, query: str, attr_table: tuple, k: int = 10,
-                      descending: bool = True,
-                      min_val: float | None = None,
-                      max_val: float | None = None,
-                      lang: str = "en"):
-        """Sort-by-attribute query — the ``gbsortby:``/``gbsortbyint:``
-        + ``gbmin:``/``gbmax:`` surface (``Query.cpp:1700-1720,3150``):
-        the EXACT matching set (``candidate_docs``), filtered to
-        ``[min_val, max_val]`` on a per-document numeric attribute, then
-        top-k by (attribute, docId asc) instead of relevance.
-
-        ``attr_table`` is ``(sorted_doc_ids uint64, values numeric)`` —
-        integer values keep integer ordering (the gbsortbyint contract:
-        no float64 rounding above 2^53); docs absent from the table are
-        dropped (the reference only returns docs that indexed the sort
-        field).  Returns ``(doc_ids, values)``."""
-        from .kernel import candidate_docs
-
-        fids, fvals = _check_attr_table(attr_table, "attr_table")
-        if fvals.dtype.kind == "u":
-            if len(fvals) and int(fvals.max()) >= (1 << 63):
-                raise ValueError("uint64 attribute values >= 2^63 are "
-                                 "not sortable (int64 negate overflow)")
-            fvals = fvals.astype(np.int64)
-        elif fvals.dtype.kind not in "if":
-            fvals = np.asarray(fvals, dtype=np.float64)
-        pq_ = parse_query(query, self.config.bigram_weight, lang=lang,
-                          position_mode=self.config.position_mode)
-        ids = candidate_docs(pq_, self._lists_for(pq_))
-        if len(ids) == 0 or len(fids) == 0:
-            return np.zeros(0, np.uint64), np.zeros(0, fvals.dtype)
-        joined, hit = _attr_join(fids, fvals, ids)
-        ids, vals = ids[hit], joined[hit]
-        keep = np.ones(len(ids), dtype=bool)
-        if min_val is not None:
-            keep &= vals >= min_val
-        if max_val is not None:
-            keep &= vals <= max_val
-        ids, vals = ids[keep], vals[keep]
-        order = np.lexsort((ids, -vals if descending else vals))[:k]
-        return ids[order], vals[order]
-
-    def related_terms(self, query: str, k_terms: int = 10,
-                      sample_docs: int = 100, lang: str = "en"):
-        """Related-topics summary of the result page — the Gigabits
-        surface (``html/faq.html:333``; generated in ``Msg40``'s result
-        post-processing).  → ``[(term, n_result_docs), ...]`` ranked
-        (count desc, term asc); see query/related.py for the contract."""
-        from .related import related_terms
-
-        return related_terms(self, query, k_terms=k_terms,
-                             sample_docs=sample_docs, lang=lang)
-
-    def search_page(self, query: str, k: int = 10, offset: int = 0,
-                    with_total: bool = False,
-                    synonyms: dict[str, list[str]] | None = None,
-                    lang: str = "en"):
-        """Paginated search (``m_firstResultNum``/``m_docsWanted``,
-        ``SearchInput.h:177-178``): returns ``(doc_ids, scores, total)``
-        for result ranks [offset, offset+k).  Internally evaluates
-        top-(offset+k) — result-identical under pruning on/off, so page 2
-        is exactly rows k..2k of a deeper search.  ``with_total=True``
-        also returns the EXACT candidate-set size (the total-hits field of
-        every reference reply, ``Msg39.cpp:486-523``); it costs one
-        un-pruned candidate pass over the already-decoded lists."""
-        from .kernel import candidate_docs
-
+    def _prepare(self, req: SearchRequest):
+        """Parse → fetch → restrict stages of a validated request →
+        ``(parsed, prior, lists, partial)``."""
+        deadline = (time.monotonic() + req.timeout_ms / 1000.0
+                    if req.timeout_ms is not None else None)
+        lang = req.qlang or req.lang
+        synonyms, wiki, prior = req.synonyms, req.wiki_bigrams, req.doc_prior
         if synonyms == "default":
             from ..functions.synonyms import synonyms_table
+
             synonyms = synonyms_table(lang)   # expansion follows qlang
-        pq_ = parse_query(query, self.config.bigram_weight,
+        if wiki == "default":
+            from ..functions.wiki_phrases import DEFAULT_WIKI_BIGRAMS
+
+            wiki = DEFAULT_WIKI_BIGRAMS
+        if req.qlang is not None:
+            from .langprior import DEFAULT_LANG_WEIGHT, language_prior
+
+            prior = language_prior(
+                self.index_dir, req.qlang, DEFAULT_LANG_WEIGHT
+                if req.lang_weight is None else req.lang_weight)
+        pq_ = parse_query(req.query, self.config.bigram_weight,
                           synonyms=synonyms, lang=lang,
-                          position_mode=self.config.position_mode)
-        lists = self._lists_for(pq_)
-        docs, scores = evaluate(pq_, lists, self.n_docs, self.avgdl,
-                                self.config, offset + k)
-        total = int(len(candidate_docs(pq_, lists))) if with_total else None
-        return docs[offset:offset + k], scores[offset:offset + k], total
+                          position_mode=self.config.position_mode,
+                          wiki_bigrams=wiki)
+        position_ids = pq_.position_term_ids()
+        if req.rerank == "proximity":
+            # the boost reads the positions of every scoring term
+            position_ids = position_ids | {
+                t.term_id for t in pq_.terms
+                if not t.negative and not t.is_bigram}
+        lists, partial = self._collect_lists(pq_, position_ids, deadline,
+                                             req.max_list_bytes)
+        if req.doc_ids is not None:
+            lists = _restrict(lists, req.doc_ids)
+        return pq_, prior, lists, partial
 
-    def search_after(self, query: str, k: int = 10,
-                     after: tuple | None = None,
-                     synonyms: dict[str, list[str]] | None = None,
-                     lang: str = "en", telemetry: dict | None = None):
-        """Deep-paging cursor (``minSerpDocId``/``maxSerpScore`` resume,
-        ``PosdbTable.cpp:3948-3983``): returns ``(doc_ids, scores,
-        cursor)`` for the next ``k`` results strictly after
-        ``after=(score, doc_id)``; pass the returned ``cursor`` back to
-        continue.  ``cursor`` is ``None`` once exhausted.  Unlike
-        ``search_page`` the cost per step does not grow with depth: the
-        cursor filters candidates BEFORE top-k selection (see
-        :func:`kernel.evaluate_after`), which is what makes bulk export
-        by rank O(total) instead of O(total²/k)."""
-        from .kernel import evaluate_after
+    def _evaluate(self, req: SearchRequest, pq_: ParsedQuery, lists: dict,
+                  prior, partial: bool, plan_only: bool = False):
+        """Evaluate stage → ``(doc_ids, scores)`` of the top ``offset +
+        k`` (the ``k`` after the cursor) — or, with ``plan_only``, the
+        :func:`kernel.select_plan` tag of that evaluation, so
+        :meth:`explain` reports the plan :meth:`run` takes.  Pruning
+        bounds hold only for full lists at build weights without a
+        prior, so a budget cut, a restriction, a weight override or a
+        prior evaluates exactly."""
+        cfg = self.config
+        if req.field_weights is not None and \
+                tuple(req.field_weights) != tuple(cfg.field_weights):
+            cfg = replace(cfg, field_weights=tuple(req.field_weights))
+        exact_lists = partial or req.doc_ids is not None
+        prune = not exact_lists and prior is None and cfg is self.config
+        k = req.offset + req.k
+        args = (pq_, lists, self.n_docs, self.avgdl, cfg)
+        if req.after is not None or req.telemetry is not None:
+            if plan_only:
+                return "exact"
+            return evaluate_after(*args, req.k, after=req.after,
+                                  telemetry=req.telemetry, prior=prior)
+        if req.rerank == "proximity":
+            if plan_only:
+                return select_plan(pq_, lists, max(req.oversample * k, k),
+                                   prune)
+            return evaluate_rerank(*args, k, prune=prune,
+                                   oversample=req.oversample)
+        n_ranges = (_range_count(lists, req.n_ranges)
+                    if req.n_ranges is not None else 0)
+        if n_ranges > 1:
+            if plan_only:
+                return "exact"     # every range evaluates exactly
+            return parallel_evaluate(
+                *args, k, n_ranges,
+                None if exact_lists else self._part_refs, prior=prior)
+        if plan_only:
+            return select_plan(pq_, lists, k, prune)
+        return evaluate(*args, k, prune=prune, prior=prior)
 
-        if synonyms == "default":
-            from ..functions.synonyms import synonyms_table
-            synonyms = synonyms_table(lang)   # expansion follows qlang
-        pq_ = parse_query(query, self.config.bigram_weight,
-                          synonyms=synonyms, lang=lang,
-                          position_mode=self.config.position_mode)
-        lists = self._lists_for(pq_)
-        docs, scores = evaluate_after(pq_, lists, self.n_docs, self.avgdl,
-                                      self.config, k, after=after,
-                                      telemetry=telemetry)
-        cursor = ((float(scores[-1]), int(docs[-1]))
-                  if len(docs) == k else None)
-        return docs, scores, cursor
-
-    def explain(self, query: str, k: int = 10,
-                rerank: str | None = None, oversample: int = 4) -> dict:
-        """Query plan inspection (the PageStats/&debug=1 analogue): parsed
-        terms with per-term df/idf, phrase chains, OR units, boolean tree,
-        which evaluation path :func:`kernel.evaluate` will take, and the
-        re-rank stage when one is requested."""
+    def explain(self, req: SearchRequest) -> dict:
+        """Query plan inspection (the PageStats/&debug=1 analogue) of the
+        request :meth:`run` would answer: parsed terms with per-term
+        df/idf, phrase chains, OR units, boolean tree, the evaluation
+        plan, and the re-rank stage when one is requested."""
         from ..functions.bm25 import idf as bm25_idf
-        from .kernel import select_plan
 
-        pq_ = parse_query(query, self.config.bigram_weight,
-                          position_mode=self.config.position_mode)
-        lists = self._lists_for(pq_)
+        req.validate()
+        pq_, prior, lists, partial = self._prepare(req)
         terms = []
         for t in pq_.terms:
             tp = lists.get(t.term_id)
@@ -770,9 +791,10 @@ class IndexSearcher:
                 "df": int(tp.df) if tp else 0,
                 "idf": float(bm25_idf(tp.df, self.n_docs)) if tp else None,
             })
-        # the SAME predicate evaluate() dispatches on — the reported plan
-        # is the path that runs, by construction
-        plan = select_plan(pq_, lists, k, prune=True)
+        # facet and sortby requests only generate candidates
+        plan = ("exact" if req.options() & (_FACET | {"attr_table"}) else
+                self._evaluate(req, pq_, lists, prior, partial,
+                               plan_only=True))
         if pq_.bool_tree is not None:
             path = "boolean-tree"
         elif pq_.phrases or pq_.neg_phrases or pq_.or_groups:
@@ -785,23 +807,27 @@ class IndexSearcher:
                 "impact-union": "impact-ordered union",
             }.get(plan, "exact" if len(pq_.terms) <= 1
                   else "exact (required-unit intersection)")
+        k = req.offset + req.k
         return {
-            "query": query, "n_docs": self.n_docs, "avgdl": self.avgdl,
+            "query": req.query, "n_docs": self.n_docs, "avgdl": self.avgdl,
             "terms": terms, "phrases": pq_.phrases,
             "neg_phrases": pq_.neg_phrases, "or_groups": pq_.or_groups,
-            "bool_tree": pq_.bool_tree, "eval_path": path,
+            "bool_tree": pq_.bool_tree, "plan": plan, "eval_path": path,
             "rerank": (f"proximity (term-pair min-dist boost over "
-                       f"top-{max(oversample * k, k)})"
-                       if rerank == "proximity" else None),
+                       f"top-{max(req.oversample * k, k)})"
+                       if req.rerank == "proximity" else None),
         }
 
-    def search_table(self, query: str, k: int = 10) -> pa.Table:
-        docs, scores = self.search(query, k)
-        return pa.table({
-            "rank": pa.array(np.arange(1, len(docs) + 1, dtype=np.int32)),
-            "doc_id": pa.array(docs, pa.uint64()),
-            "score": pa.array(scores, pa.float64()),
-        })
+    def related_terms(self, query: str, k_terms: int = 10,
+                      sample_docs: int = 100, lang: str = "en"):
+        """Related-topics summary of the result page — the Gigabits
+        surface (``html/faq.html:333``; generated in ``Msg40``'s result
+        post-processing).  → ``[(term, n_result_docs), ...]`` ranked
+        (count desc, term asc); see query/related.py for the contract."""
+        from .related import related_terms
+
+        return related_terms(self, query, k_terms=k_terms,
+                             sample_docs=sample_docs, lang=lang)
 
 
 class QueryEvalStage:

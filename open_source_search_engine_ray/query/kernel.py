@@ -704,13 +704,13 @@ def evaluate_after(query: ParsedQuery,
                    lists: dict[int, TermPostings | None],
                    n_docs: int, avgdl: float, config: IndexConfig, k: int,
                    after: tuple | None = None,
-                   telemetry: dict | None = None):
+                   telemetry: dict | None = None, prior=None):
     """Cursor-paged evaluation — the ``minSerpDocId``/``maxSerpScore``
     resume of the reference (``PosdbTable.cpp:3948-3983``): return the
     next ``k`` results STRICTLY after ``after=(score, doc_id)`` in the
     global (score desc, docId asc) order.
 
-    Unlike offset paging (``search_page``, which evaluates
+    Unlike offset paging (``SearchRequest.offset``, which evaluates
     top-(offset+k)), the cursor filter runs BEFORE top-k selection, so
     the selection pool holds only post-cursor docs: per step the cost is
     one candidate scan (unavoidable — scores above the cursor must be
@@ -719,11 +719,14 @@ def evaluate_after(query: ParsedQuery,
     no O(offset) re-ranking of earlier pages.  ``telemetry`` (optional
     dict) receives ``scanned`` (candidate count) and ``pool`` (post-
     cursor candidates actually ranked) — tests assert ``pool`` decreases
-    page over page."""
+    page over page.  ``prior`` multiplies the scores as in
+    :func:`evaluate`, before the cursor filter."""
     wq = np.asarray([int(round(w * 4)) for w in config.field_weights],
                     dtype=np.int64)
     cand = candidate_docs(query, lists)
     scores = _scores_for(query, lists, cand, n_docs, avgdl, config, wq)
+    if prior is not None:
+        scores = scores * prior_multipliers(cand, prior)
     n_scanned = len(cand)
     if after is not None:
         a_s = np.float64(after[0])

@@ -121,7 +121,7 @@ def load_doclang(out_dir: str) -> tuple[np.ndarray, np.ndarray]:
 def doclang_cached(out_dir: str, _cache: dict = {}):
     """:func:`load_doclang` behind a single-entry cache keyed on the
     index-state token, so per-query consumers (language_prior,
-    search_facets) pay the parquet read once per index state."""
+    facet requests) pay the parquet read once per index state."""
     from ..index.merge import index_state_token
 
     key = (out_dir, index_state_token(out_dir))

@@ -139,7 +139,8 @@ class OracleIndex:
 
     def search_page(self, query: str, k: int = 10, offset: int = 0,
                     with_total: bool = False):
-        """Mirror of IndexSearcher.search_page (same contract, exact path)."""
+        """Mirror of an ``offset``/``with_total`` request (same contract,
+        exact path)."""
         from .kernel import candidate_docs
 
         pq = parse_query(query, self.config.bigram_weight,
@@ -153,7 +154,7 @@ class OracleIndex:
     def search_after(self, query: str, k: int = 10,
                      after: tuple | None = None,
                      telemetry: dict | None = None):
-        """Mirror of IndexSearcher.search_after (same kernel path)."""
+        """Mirror of an ``after`` cursor request (same kernel path)."""
         from .kernel import evaluate_after
 
         pq = parse_query(query, self.config.bigram_weight,

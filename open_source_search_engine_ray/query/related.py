@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from ..functions.stopwords import query_stopwords
 from ..functions.tokenizer import tokenize
+from .engine import SearchRequest
 from .parse import parse_query
 from .snippets import _docstore_rows
 
@@ -28,7 +29,7 @@ def related_terms(searcher, query: str,
 
     ``searcher`` is an ``IndexSearcher``; its ``index_dir`` locates the
     doc store, so result docIds and texts always come from ONE index."""
-    docs, _scores = searcher.search(query, sample_docs, lang=lang)
+    docs = searcher.run(SearchRequest(query, sample_docs, lang=lang)).doc_ids
     if len(docs) == 0:
         return []
     rows = _docstore_rows(searcher.index_dir, [int(d) for d in docs])

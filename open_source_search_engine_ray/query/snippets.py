@@ -18,7 +18,7 @@ import pyarrow.dataset as pads
 
 from ..functions.ghash import TERMID_MASK, hash_tokens_lower
 from ..functions.tokenizer import tokenize
-from .engine import IndexSearcher
+from .engine import IndexSearcher, SearchRequest
 from .parse import parse_query
 
 
@@ -271,15 +271,19 @@ def search_with_snippets(index_dir: str, query: str, k: int = 10,
                          searcher: IndexSearcher | None = None,
                          dedup: bool = False, max_per_cluster: int = 2,
                          similar_pct: float = 80.0,
-                         oversample: int = 4) -> pa.Table:
+                         oversample: int = 4, **options) -> pa.Table:
     """→ (rank, doc_id, conv_id, score, snippet, snippet_role,
     snippet_turn_idx): the full result page (Msg40 → PageResults
-    analogue).  ``dedup=True`` collapses near-identical summaries and caps
-    results per similarity cluster (see :func:`dedup_result_page`),
-    over-fetching ``oversample×k`` candidates so the page refills."""
+    analogue) of ``SearchRequest(query, k, **options)``.  ``dedup=True``
+    collapses near-identical summaries and caps results per similarity
+    cluster (see :func:`dedup_result_page`), over-fetching
+    ``oversample×k`` candidates so the page refills."""
     se = searcher or IndexSearcher(index_dir)
-    docs, scores = se.search(query, k * oversample if dedup else k)
+    req = SearchRequest(query, k * oversample if dedup else k, **options)
+    res = se.run(req)
+    docs, scores = res.doc_ids, res.scores
     pq_ = parse_query(query, se.config.bigram_weight,
+                      lang=req.qlang or req.lang,
                       position_mode=se.config.position_mode)
     qterms = {t.term_id for t in pq_.terms if not t.negative}
     empty = pa.table({

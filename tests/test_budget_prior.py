@@ -31,6 +31,27 @@ def _searcher(idx):
     return IndexSearcher(idx)
 
 
+def _run(searcher, query, k=10, **options):
+    from open_source_search_engine_ray.query.engine import SearchRequest
+
+    return searcher.run(SearchRequest(query, k, **options))
+
+
+def _budgeted(searcher, query, k=10, **budget):
+    res = _run(searcher, query, k, **budget)
+    return res.doc_ids, res.scores, res.partial
+
+
+def _facets(searcher, query, **options):
+    res = _run(searcher, query, **options)
+    return res.facets[0], res.facets[1], res.total
+
+
+def _page(searcher, query, k, **options):
+    res = _run(searcher, query, k, with_total=True, **options)
+    return res.doc_ids, res.scores, res.total
+
+
 def _oracle():
     from open_source_search_engine_ray.query.oracle import OracleIndex
     from open_source_search_engine_ray.sources.transcripts import (
@@ -68,8 +89,7 @@ def test_doc_prior_flips_order_and_matches_oracle(bp_index):
 def test_budget_unbudgeted_identical(bp_index):
     se = _searcher(bp_index)
     d0, s0 = se.search("w0042 w0007", 10)
-    d1, s1, partial = se.search_budgeted("w0042 w0007", 10,
-                                         timeout_ms=60_000)
+    d1, s1, partial = _budgeted(se, "w0042 w0007", 10, timeout_ms=60_000)
     assert not partial
     assert list(d0) == list(d1) and list(s0) == list(s1)
 
@@ -79,8 +99,7 @@ def test_budget_deadline_partial(bp_index):
     flag — no list is fetched."""
     se = _searcher(bp_index)
     t0 = time.monotonic()
-    docs, scores, partial = se.search_budgeted("w0042 w0007", 10,
-                                               timeout_ms=0)
+    docs, scores, partial = _budgeted(se, "w0042 w0007", 10, timeout_ms=0)
     assert partial
     assert time.monotonic() - t0 < 1.0
     assert len(docs) == 0
@@ -101,16 +120,21 @@ def test_budget_list_cap_partial_and_bounded(bp_index):
     trunc, was_cut = _truncate_postings(full, cap)
     assert was_cut and len(trunc.doc_ids) < len(full.doc_ids)
     assert trunc.df == full.df     # read cap never rewrites corpus df
-    docs, scores, partial = se.search_budgeted("the", 10,
-                                               max_list_bytes=cap)
+    docs, scores, partial = _budgeted(se, "the", 10, max_list_bytes=cap)
     assert partial
     prefix = set(int(d) for d in trunc.doc_ids)
     assert len(docs) > 0
     assert all(int(d) in prefix for d in docs)
+    # the cut does not depend on cache history: a searcher that cached
+    # "the" WITH positions (for a phrase) cuts the same prefix
+    se2 = _searcher(bp_index)
+    se2.search('"the of"', 10)
+    d2, s2, p2 = _budgeted(se2, "the", 10, max_list_bytes=cap)
+    assert p2 and list(d2) == list(docs) and list(s2) == list(scores)
 
 
 def test_distributed_budgeted_matches_driver(bp_index):
-    """DistributedSearcher.search_budgeted must equal the driver-side
+    """A budgeted DistributedSearcher request must equal the driver-side
     budgeted search for the same byte cap, and equal unbudgeted search
     under a generous deadline."""
     from open_source_search_engine_ray.query.distributed import (
@@ -120,13 +144,13 @@ def test_distributed_budgeted_matches_driver(bp_index):
     ds = DistributedSearcher(bp_index, n_servers=2)
 
     d0, s0 = se.search("w0042 w0007", 10)
-    d1, s1, p1 = ds.search_budgeted("w0042 w0007", 10, timeout_ms=60_000)
+    d1, s1, p1 = _budgeted(ds, "w0042 w0007", 10, timeout_ms=60_000)
     assert not p1
     assert list(d0) == list(d1) and list(s0) == list(s1)
 
     cap = 64 * 24
-    da, sa, pa_ = se.search_budgeted("the", 10, max_list_bytes=cap)
-    db, sb, pb = ds.search_budgeted("the", 10, max_list_bytes=cap)
+    da, sa, pa_ = _budgeted(se, "the", 10, max_list_bytes=cap)
+    db, sb, pb = _budgeted(ds, "the", 10, max_list_bytes=cap)
     assert pa_ and pb
     assert list(da) == list(db) and list(sa) == list(sb)
 
@@ -173,11 +197,9 @@ def test_language_prior_build_and_rank_flip(ray_session, tmp_path):
     base_docs, _ = se.search("w0042", se.n_docs)
     base_rank = list(base_docs).index(de_doc)
     assert base_rank == 0       # short dl → the German doc tops unweighted
-    den, _ = se.search_lang("w0042", se.n_docs, qlang="en",
-                            lang_weight=0.05)
+    den, _ = se.search("w0042", se.n_docs, qlang="en", lang_weight=0.05)
     assert list(den).index(de_doc) > base_rank    # qlang=en demotes it
-    d1, s1 = se.search_lang("w0042", se.n_docs, qlang="de",
-                            lang_weight=0.05)
+    d1, s1 = se.search("w0042", se.n_docs, qlang="de", lang_weight=0.05)
     assert list(d1).index(de_doc) == 0            # qlang=de keeps it on top
 
     # engine == oracle under the same prior (shared kernel)
@@ -193,7 +215,7 @@ def test_search_facets_matches_bruteforce(bp_index):
     """Facet query (gbfacetstr analogue): the per-language histogram of
     the EXACT matching set must equal a brute-force recount from the
     doclang table over the oracle candidate set, for every reference
-    query; total_matches must equal search_page's exact total."""
+    query; total_matches must equal a ranked request's exact total."""
     from open_source_search_engine_ray.query.langprior import load_doclang
     from open_source_search_engine_ray.sources.queryset import query_set
 
@@ -201,10 +223,8 @@ def test_search_facets_matches_bruteforce(bp_index):
     fids, fvals = load_doclang(bp_index)
     lang_of = dict(zip(fids.tolist(), fvals.tolist()))
     for qid, q, _k in query_set():
-        vals, counts, total = se.search_facets(q, facet="lang",
-                                               k_facets=100)
-        docs, _, exact_total = se.search_page(q, se.n_docs,
-                                              with_total=True)
+        vals, counts, total = _facets(se, q, facet="lang", k_facets=100)
+        docs, _, exact_total = _page(se, q, se.n_docs)
         assert total == exact_total, qid
         brute: dict[str, int] = {}
         for d in docs:
@@ -220,15 +240,36 @@ def test_search_facets_matches_bruteforce(bp_index):
     # the uint64 the kernel needs (no silent float64 promotion), and an
     # unsorted table is rejected loudly
     q = query_set()[0][1]
-    v1, c1, t1 = se.search_facets(q, facet="lang", k_facets=100)
-    v2, c2, t2 = se.search_facets(
-        q, k_facets=100,
+    v1, c1, t1 = _facets(se, q, facet="lang", k_facets=100)
+    v2, c2, t2 = _facets(
+        se, q, k_facets=100,
         facet_table=(fids.astype(np.int64).tolist(), list(fvals)))
     assert v1 == v2 and list(c1) == list(c2) and t1 == t2
     with pytest.raises(ValueError):
-        se.search_facets(q, facet_table=(fids[::-1], fvals))
+        _run(se, q, facet_table=(fids[::-1], fvals))
     with pytest.raises(ValueError):
-        se.search_facets(q, facet="n_turns")
+        _run(se, q, facet="n_turns")
+
+
+def test_numeric_facet_values_order_numerically(bp_index):
+    """Numeric facet values keep their dtype and rank (count desc, value
+    asc) numerically — 2 before 10 at equal counts, not "10" < "2" — and
+    docs missing from the table count as "unknown", after the values of
+    its count."""
+    se = _searcher(bp_index)
+    q = "w0042"
+    docs, _, total = _page(se, q, se.n_docs)
+    ids = np.sort(np.asarray(docs, dtype=np.uint64))
+    assert total >= 5
+    # two docs valued 10, two valued 2, the rest absent from the table
+    table = (ids[:4], np.asarray([10, 2, 10, 2], dtype=np.int64))
+    vals, counts, t = _facets(se, q, facet_table=table)
+    assert t == total
+    rest = total - 4
+    want = [(2, 2), (10, 2)]
+    want.insert(0 if rest > 2 else len(want), ("unknown", rest))
+    assert list(zip(vals, (int(c) for c in counts))) == want
+    assert all(type(v) is int for v in vals if v != "unknown")
 
 
 def test_search_sortby_matches_bruteforce(bp_index):
@@ -242,13 +283,14 @@ def test_search_sortby_matches_bruteforce(bp_index):
     fids, _ = load_doclang(bp_index)          # one row per live doc
     attr = (fids, (fids % np.uint64(97)).astype(np.float64))
     for qid, q, _k in query_set()[:8]:
-        docs, _, total = se.search_page(q, se.n_docs, with_total=True)
+        docs, _, total = _page(se, q, se.n_docs)
         match = np.sort(np.asarray(docs, dtype=np.uint64))
         vals_all = match % np.uint64(97)
         for desc, lo, hi in [(True, None, None), (False, None, None),
                              (True, 10.0, 80.0)]:
-            ids, vals = se.search_sortby(q, attr, k=15, descending=desc,
-                                         min_val=lo, max_val=hi)
+            res = _run(se, q, 15, attr_table=attr, descending=desc,
+                       min_val=lo, max_val=hi)
+            ids, vals = res.doc_ids, res.scores
             keep = np.ones(len(match), dtype=bool)
             if lo is not None:
                 keep &= vals_all >= lo
@@ -259,7 +301,7 @@ def test_search_sortby_matches_bruteforce(bp_index):
             assert list(ids) == list(m[order]), (qid, desc, lo)
             assert list(vals) == list(v[order]), (qid, desc, lo)
     with pytest.raises(ValueError):
-        se.search_sortby("w0042", (fids[::-1], fids.astype(float)))
+        _run(se, "w0042", attr_table=(fids[::-1], fids.astype(float)))
 
 
 def test_search_docids_restriction(bp_index):
@@ -278,13 +320,13 @@ def test_search_docids_restriction(bp_index):
         subset = np.asarray(docs[::2], dtype=np.uint64)
         probe = np.concatenate([subset, np.asarray([1, 2**60],
                                                    np.uint64)])
-        rd, rs = se.search_docids(q, probe, k=10)
+        rd, rs = se.search(q, 10, doc_ids=probe)
         keep = np.isin(np.asarray(docs, np.uint64), subset)
         want_d = np.asarray(docs, np.uint64)[keep][:10]
         want_s = np.asarray(scores)[keep][:10]
         assert list(rd) == list(want_d), qid
         assert list(rs) == list(want_s), qid
-    rd, rs = se.search_docids("w0042", [], k=5)
+    rd, rs = se.search("w0042", 5, doc_ids=[])
     assert len(rd) == 0
 
 
@@ -292,7 +334,8 @@ def test_derived_tables_rebuild_after_maintenance(ray_session, tmp_path):
     """doclang.parquet and vocab.parquet embed the index-state token and
     REBUILD when the index is maintained after they were written — a
     maintained index must never serve stale derived data (the maintained
-    == fresh invariant extends to search_lang and the spell suggester)."""
+    == fresh invariant extends to qlang requests and the spell
+    suggester)."""
     import pyarrow as pa
     import ray.data
 

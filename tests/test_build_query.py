@@ -12,7 +12,8 @@ import pytest
 
 from open_source_search_engine_ray.config import IndexConfig
 from open_source_search_engine_ray.index.build import build_index, load_meta
-from open_source_search_engine_ray.query.engine import IndexSearcher
+from open_source_search_engine_ray.query.engine import (IndexSearcher,
+                                                        SearchRequest)
 from open_source_search_engine_ray.query.oracle import OracleIndex
 from open_source_search_engine_ray.sources.queryset import query_set
 from open_source_search_engine_ray.sources.transcripts import (
@@ -295,18 +296,19 @@ def test_hot_sampling_covers_corpus_tail(ray_session):
 
 
 def test_pagination_and_total_hits(built_index, oracle):
-    """search_page: page 2 equals rows 11-20 of a k=20 search (identical
+    """offset paging: page 2 equals rows 11-20 of a k=20 search (identical
     under pruning — engine prunes, oracle doesn't), and with_total returns
     the exact candidate count (Msg39 total-hits analogue)."""
     se = IndexSearcher(IDX)
     for q in ("the", "w0042 w0777", '"w0042 w0777"', "w0002"):
-        d20, s20, tot = se.search_page(q, 20, 0, with_total=True)
-        d2, s2, _ = se.search_page(q, 10, offset=10)
+        r20 = se.run(SearchRequest(q, 20, with_total=True))
+        d20, s20, tot = r20.doc_ids, r20.scores, r20.total
+        d2, s2 = se.search(q, 10, offset=10)
         assert list(d2) == list(d20[10:20]) and list(s2) == list(s20[10:20])
         od, osc, otot = oracle.search_page(q, 20, 0, with_total=True)
         assert list(d20) == list(od) and list(s20) == list(osc)
         assert tot == otot
-        dall, _, _ = se.search_page(q, 10 ** 6)
+        dall, _ = se.search(q, 10 ** 6)
         assert tot == len(dall), q  # total == number of all matches
 
 
@@ -381,15 +383,17 @@ def test_resume_skips_spill_after_encode_crash(ray_session, monkeypatch,
 def test_explain(built_index):
     """explain() reports per-term stats and the chosen evaluation path."""
     se = IndexSearcher(IDX)
-    e = se.explain("w0042 w0777")
+    e = se.explain(SearchRequest("w0042 w0777"))
     assert e["n_docs"] == N_CONV and len(e["terms"]) >= 2
     toks = {t["token"]: t for t in e["terms"]}
     assert toks["w0042"]["df"] > 0 and toks["w0042"]["idf"] is not None
     assert e["eval_path"].startswith("exact")
-    assert se.explain('"w0042 w0777"')["phrases"]
-    assert se.explain("(w0042 OR w0777)")["eval_path"] == "boolean-tree"
+    assert se.explain(SearchRequest('"w0042 w0777"'))["phrases"]
+    assert se.explain(SearchRequest("(w0042 OR w0777)"))["eval_path"] == \
+        "boolean-tree"
     # at this corpus scale single terms have df < 4096 → no block-max
     # metadata → the kernel truly takes the exact route, and explain must
     # say so (it mirrors evaluate's guards, incl. the field-scope one)
-    assert se.explain("w0002")["eval_path"] == "exact"
-    assert se.explain("role:user w0002")["eval_path"].startswith("exact")
+    assert se.explain(SearchRequest("w0002"))["eval_path"] == "exact"
+    assert se.explain(SearchRequest("role:user w0002"))[
+        "eval_path"].startswith("exact")

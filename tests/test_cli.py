@@ -52,15 +52,21 @@ def test_cli_build_query_suggest(cli_corpus, tmp_path):
     assert r.returncode == 0, r.stderr[-2000:]
     assert "matching docs)" in r.stdout and "en" in r.stdout
 
-    # conflicting query modes fail loudly instead of silently picking one
+    # the flags build one request: options that combine do, and the
+    # output modes (snippets / facets) and refused pairs fail loudly
+    # instead of silently picking one
     r = _run("query", "--index", idx, "--q", "w0042", "--parallel",
              "--qlang", "en")
-    assert r.returncode != 0
-    assert "mutually exclusive" in r.stderr
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert "hits in" in r.stdout
     r = _run("query", "--index", idx, "--q", "w0042", "--snippets",
              "--facets", "lang")
     assert r.returncode != 0
     assert "mutually exclusive" in r.stderr
+    r = _run("query", "--index", idx, "--q", "w0042", "--facets", "lang",
+             "--parallel")
+    assert r.returncode != 0
+    assert "cannot be combined" in r.stderr
     r = _run("query", "--index", idx, "--q", "w0042",
              "--facets", "language")
     assert r.returncode != 0 and "unknown facet" in r.stderr
@@ -72,3 +78,14 @@ def test_cli_build_query_suggest(cli_corpus, tmp_path):
     r = _run("query", "--index", idx, "--q", "w0042")
     assert r.returncode == 0, r.stderr[-2000:]
     assert "(0 hits in" in r.stdout
+
+
+def test_cli_lang_weight_needs_qlang():
+    """--lang-weight only weights against a --qlang: alone it is refused
+    (exit 2) before any index is opened or Ray started."""
+    from open_source_search_engine_ray.__main__ import main
+
+    with pytest.raises(SystemExit) as ex:
+        main(["query", "--index", "/nonexistent", "--q", "w0042",
+              "--lang-weight", "0.5"])
+    assert ex.value.code == 2

@@ -1,4 +1,4 @@
-"""Deep-paging cursor (search_after): page-chain equals one deep top-N,
+"""Deep-paging cursor (SearchRequest.after): page-chain equals one deep top-N,
 cost telemetry shrinks with depth (no O(offset) re-ranking), engine ==
 oracle on every page."""
 
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from open_source_search_engine_ray.index.build import build_index
-from open_source_search_engine_ray.query.engine import IndexSearcher
+from open_source_search_engine_ray.query.engine import (IndexSearcher,
+                                                        SearchRequest)
 from open_source_search_engine_ray.query.oracle import OracleIndex
 from open_source_search_engine_ray.sources.transcripts import (
     transcripts_dataset, transcripts_table)
@@ -37,7 +38,8 @@ def _drain(searcher, q, k):
     after = None
     for _ in range(200):  # bounded: fails loudly instead of looping forever
         tel = {}
-        d, s, after = searcher.search_after(q, k, after=after, telemetry=tel)
+        res = searcher.run(SearchRequest(q, k, after=after, telemetry=tel))
+        d, s, after = res.doc_ids, res.scores, res.cursor
         pools.append(tel["pool"])
         docs.extend(int(x) for x in d)
         scores.extend(float(x) for x in s)
@@ -69,7 +71,8 @@ def test_pool_shrinks_per_page(se, q):
 def test_engine_oracle_identity_per_page(se, oracle, q):
     after = None
     for _ in range(5):
-        d1, s1, c1 = se.search_after(q, 5, after=after)
+        res = se.run(SearchRequest(q, 5, after=after))
+        d1, s1, c1 = res.doc_ids, res.scores, res.cursor
         d2, s2, c2 = oracle.search_after(q, 5, after=after)
         assert list(d1) == list(d2) and list(s1) == list(s2)
         assert c1 == c2
@@ -80,5 +83,6 @@ def test_engine_oracle_identity_per_page(se, oracle, q):
 
 def test_first_page_matches_search(se):
     d0, s0 = se.search("w0001", 10)
-    d1, s1, _ = se.search_after("w0001", 10)
+    res = se.run(SearchRequest("w0001", 10, telemetry={}))
+    d1, s1 = res.doc_ids, res.scores
     assert list(d0) == list(d1) and list(s0) == list(s1)

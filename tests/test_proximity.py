@@ -86,7 +86,8 @@ def test_engine_oracle_rerank_identity(ray_session):
     """Engine == oracle (docIDs + float64 scores) with rerank on, across
     the standard query set — same bar as the base rank-identity test."""
     from open_source_search_engine_ray.index.build import build_index
-    from open_source_search_engine_ray.query.engine import IndexSearcher
+    from open_source_search_engine_ray.query.engine import (IndexSearcher,
+                                                            SearchRequest)
     from open_source_search_engine_ray.sources.queryset import query_set
     from open_source_search_engine_ray.sources.transcripts import (
         transcripts_dataset, transcripts_table)
@@ -106,6 +107,6 @@ def test_engine_oracle_rerank_identity(ray_session):
         assert list(map(float, s1)) == list(map(float, s2)), (qid, q)
         n_checked += 1
     assert n_checked >= 10
-    e = se.explain("hello world", rerank="proximity")
+    e = se.explain(SearchRequest("hello world", rerank="proximity"))
     assert "proximity" in (e["rerank"] or "")
     shutil.rmtree(idx, ignore_errors=True)

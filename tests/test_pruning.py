@@ -26,6 +26,11 @@ def searcher(ray_session):
     return IndexSearcher(IDX)
 
 
+def _lists(se, pq):
+    """The searcher's fetch stage, unbudgeted."""
+    return se._collect_lists(pq, pq.position_term_ids(), None, None)[0]
+
+
 def test_pruned_equals_exact(searcher):
     se = searcher
     queries = [q for _, q, _ in query_set()] + [
@@ -36,7 +41,7 @@ def test_pruned_equals_exact(searcher):
     for q in queries:
         for k in (3, 10, 50):
             pq = parse_query(q, se.config.bigram_weight)
-            lists = se._lists_for(pq)
+            lists = _lists(se, pq)
             d_exact, s_exact = evaluate(pq, lists, se.n_docs, se.avgdl,
                                         se.config, k, prune=False)
             d_fast, s_fast = evaluate(pq, lists, se.n_docs, se.avgdl,
@@ -65,7 +70,7 @@ def test_impact_ordered_union_identical(searcher, monkeypatch):
     for q in queries:
         for k in (3, 10, 100):
             pq = parse_query(q, se.config.bigram_weight)
-            lists = se._lists_for(pq)
+            lists = _lists(se, pq)
             d_exact, s_exact = evaluate(pq, lists, se.n_docs, se.avgdl,
                                         se.config, k, prune=False)
             d_fast, s_fast = evaluate(pq, lists, se.n_docs, se.avgdl,
