@@ -53,8 +53,12 @@ class IndexConfig:
     bigram_weight: float = 0.5
     # number of hash partitions for the posting-list shuffle
     num_partitions: int = 32
-    # hot-term salting (north rule): terms with estimated df above this
-    # fraction of N docs get their postings split across `num_salts` groups
+    # hot-term salting: a term's postings are split across `num_salts`
+    # groups when it occurs in at least this fraction of sampled turns
+    # AND its estimated posting count reaches num_salts × block_size × 4
+    # (4096 by default: each split keeps ≥ 4 blocks, and lists this long
+    # get block maxima recomputed after the query-side merge).  Below the
+    # floor a split list only multiplies the reads that fetch it.
     hot_df_ratio: float = 0.05
     num_salts: int = 8
     # postings per block for block-max metadata (WAND pruning)

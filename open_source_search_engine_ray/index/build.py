@@ -94,18 +94,35 @@ def load_doc_stats(out_dir: str):
     order = np.argsort(doc_ids)
     return tbl, doc_ids[order], (dl_q[order].astype(np.float64) / 4.0).astype(np.float32), dl_q
 
+
 def estimate_hot_terms(transcripts_ds, config: IndexConfig,
                        sample_turns: int = 8_000) -> np.ndarray:
     """Sample-based hot-term detection for salted repartitioning.
 
-    A term is "hot" when it occurs in more than ``hot_df_ratio`` of
-    sampled turns (the analogue of the reference's 30MB termlist cap +
-    high-frequency-term shortcuts, ``PosdbTable.cpp:1975-1981``,
-    ``HighFrequencyTermShortcuts.h``).  The sample pulls from a seeded
-    random permutation of the input blocks — a metadata-only shuffle, so
-    only ~sample_turns rows are read — rather than a prefix, which on a
-    time-ordered corpus would mis-identify the head (a term hot only in
-    the corpus tail is still caught when its blocks are drawn).
+    A term is "hot" when it is both frequent and large: it occurs in at
+    least ``hot_df_ratio`` of sampled turns AND its estimated posting
+    count (sample count × the sample's scale) reaches ``num_salts ×
+    block_size × 4``, so each split still holds ≥ 4 blocks (4096 with
+    the defaults: the size at which the query side recomputes block
+    maxima for split lists).  The reference likewise splits only big
+    termlists (the 30MB cap, ``PosdbTable.cpp:1975-1981``) and keeps
+    high-frequency-term shortcuts for the true head
+    (``HighFrequencyTermShortcuts.h``); a split short list only
+    multiplies the reads that fetch it.
+
+    The scale is a pure function of the sample: 16 for a thinned sample
+    that holds the whole thinned stream, 1 for an unthinned sample that
+    holds the whole corpus, and an upper bound when a sample was cut at
+    ``sample_turns``, so that doubt leads to salting.  A cut thinned
+    sample means a corpus of ≥ 16 × ``sample_turns`` turns with no upper
+    bound, so only the ratio applies (with the defaults it implies the
+    floor there anyway: large builds keep their hot set).
+
+    The sample pulls from a seeded random permutation of the input
+    blocks — a metadata-only shuffle, so only ~sample_turns rows are
+    read — rather than a prefix, which on a time-ordered corpus would
+    mis-identify the head (a term hot only in the corpus tail is still
+    caught when its blocks are drawn).
     """
     from ..functions.ghash import hash64_batch
 
@@ -130,11 +147,18 @@ def estimate_hot_terms(transcripts_ds, config: IndexConfig,
                  .take_batch(sample_turns, batch_format="pyarrow"))
     except ValueError:
         batch = None
-    if batch is None or len(batch["text"]) < sample_turns // 4:
+    if batch is not None and len(batch["text"]) >= sample_turns // 4:
+        # a full thinned sample: no upper bound on the corpus size
+        scale = MOD if len(batch["text"]) < sample_turns else np.inf
+    else:
         try:
             batch = ds.take_batch(sample_turns, batch_format="pyarrow")
         except ValueError:   # empty dataset
             return np.zeros(0, dtype=np.uint64)
+        # the thinned pass kept < sample_turns // 4 rows, so the corpus
+        # holds fewer than about MOD × sample_turns // 4 turns
+        n = len(batch["text"])
+        scale = 1.0 if n < sample_turns else MOD * (sample_turns // 4) / n
     texts = [t or "" for t in batch["text"].to_pylist()]
     if not texts:
         return np.zeros(0, dtype=np.uint64)
@@ -146,7 +170,8 @@ def estimate_hot_terms(transcripts_ds, config: IndexConfig,
     _, first_idx = np.unique(key, return_index=True)
     uniq_terms, counts = np.unique(terms[first_idx], return_counts=True)
     thresh = max(2.0, config.hot_df_ratio * len(texts))
-    hot = uniq_terms[counts >= thresh]
+    floor = config.num_salts * config.block_size * 4
+    hot = uniq_terms[(counts >= thresh) & (counts * scale >= floor)]
     return np.sort(hot.astype(np.uint64))
 
 
@@ -523,9 +548,12 @@ def _build_fused_spill(transcripts_ds_factory, out_dir: str,
 
     import ray
 
-    from ..stages.spill import spill_postings
+    from ..stages.spill import reserve_spill_writers, spill_postings
 
     cpus = int(ray.cluster_resources().get("CPU", 8))
+    # before any Ray Data work: without free CPUs the sampling pass
+    # would block as well
+    num_writers = reserve_spill_writers()
 
     t = time.time()
     if config.salt_all_terms:
@@ -609,10 +637,6 @@ def _build_fused_spill(transcripts_ds_factory, out_dir: str,
         if write_docstore and not docstore_done:
             shutil.rmtree(store_dir, ignore_errors=True)
         shutil.rmtree(spill_dir, ignore_errors=True)
-        # writers reserve 0.7 CPU each (spill.py); keep ≥1 full CPU free
-        # or the upstream read tasks can never schedule and the split pull
-        # deadlocks
-        num_writers = min(cpus, max(1, int((cpus - 1) / 0.7)))
         stats_src = (os.path.join(out_dir, "tmp_stats")
                      if config.salt_all_terms else None)
         if stats_src:

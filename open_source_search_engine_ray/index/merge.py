@@ -39,7 +39,7 @@ from .build import build_index, load_meta
 GENERATIONS_FILE = "generations.json"
 TOMBSTONES_FILE = "tombstones.parquet"
 
-# at or below this many total docstats+docstore bytes, compact_merge
+# at or below this many uncompressed docstats+docstore bytes, compact_merge
 # carries the live tables in-process (same masks as the streaming path);
 # above it the carry stays fully distributed
 LIVE_CARRY_DRIVER_MAX_BYTES = 256 << 20
@@ -335,12 +335,20 @@ REFRESH_DRIVER_MAX_BYTES = 64 << 20
 
 
 def _table_bytes(out_dir: str, gen_list: list[dict], subdir: str) -> int:
+    """Uncompressed bytes of a table's Parquet parts across generations
+    (the row groups' ``total_byte_size``, read from the footers): the
+    driver gates compare it with what an in-process pass materializes,
+    and text parts decompress to several times their file size."""
     total = 0
     for g in gen_list:
         d = os.path.join(gen_dir(out_dir, g["gen"]), subdir)
         if os.path.isdir(d):
             for name in os.listdir(d):
-                total += os.path.getsize(os.path.join(d, name))
+                if not name.endswith(".parquet"):
+                    continue
+                md = pq.read_metadata(os.path.join(d, name))
+                total += sum(md.row_group(i).total_byte_size
+                             for i in range(md.num_row_groups))
     return total
 
 
@@ -688,8 +696,8 @@ def compact_merge(out_dir: str) -> dict:
     fingerprint = f"compact-merge:{base_meta['fingerprint']}"
 
     # live doc stats + doc store carry.  Small maintenance working sets
-    # (total table bytes ≤ LIVE_CARRY_DRIVER_MAX_BYTES) run in-process —
-    # the five Ray jobs (2× conflict-winners, 2× filtered write, 1×
+    # (uncompressed table bytes ≤ LIVE_CARRY_DRIVER_MAX_BYTES) run
+    # in-process — the five Ray jobs (2× conflict-winners, 2× filtered write, 1×
     # aggregate) are pure fixed cost at that size and were the dominant
     # term of the compaction wall time.  Above the threshold the carry
     # is the original STREAMING pipeline (newest-gen-wins + tombstones

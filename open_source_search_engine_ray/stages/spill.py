@@ -42,6 +42,12 @@ from .tokenize import TokenizePostings
 
 FLUSH_ROWS = 1_500_000
 DOCSTORE_FLUSH_ROWS = 500_000
+# fractional reservation: writers overlap their own IO waits and leave
+# scheduler room for the upstream read tasks
+WRITER_CPUS = 0.7
+# how long a build waits for CPUs that finishing tasks or killed actors
+# are still releasing before it gives up
+FREE_CPU_WAIT_S = 10.0
 
 
 class SpillWriter:
@@ -173,9 +179,7 @@ def spill_postings(transcripts_ds, spill_dir: str, docstore_dir: str,
     or None when ``stats_dir`` routes the partials to disk)."""
     import ray
 
-    # fractional reservation: writers overlap their own IO waits and leave
-    # scheduler room for the upstream read tasks
-    writer_cls = ray.remote(num_cpus=0.7)(SpillWriter)
+    writer_cls = ray.remote(num_cpus=WRITER_CPUS)(SpillWriter)
     writers = [writer_cls.remote(i, spill_dir, docstore_dir, config, hot_ref,
                                  stats_dir)
                for i in range(num_writers)]
@@ -194,6 +198,49 @@ def spill_postings(transcripts_ds, spill_dir: str, docstore_dir: str,
         ray.kill(w)
     merged = _merge_doc_stats(stat_tables) if stats_dir is None else None
     return files, merged, timings
+
+
+def _writers_for(cpus: float) -> int:
+    # each writer reserves WRITER_CPUS and one full CPU stays free, or
+    # the upstream read tasks can never schedule and the split pull
+    # deadlocks
+    return max(0, min(int(cpus), int((cpus - 1) / WRITER_CPUS + 1e-9)))
+
+
+def reserve_spill_writers() -> int:
+    """Size the writer pool to the session's free CPUs: one per CPU's
+    worth when they are free, else — after waiting up to
+    ``FREE_CPU_WAIT_S`` for CPUs still being released — as many as fit.
+    Raises ``RuntimeError`` when not even one writer and one read task
+    fit (live actors hold the CPUs, or a 1-CPU session): the pool's
+    ``ray.get`` would otherwise wait forever."""
+    import gc
+    import time
+
+    import ray
+
+    total = ray.cluster_resources().get("CPU", 0.0)
+    want = _writers_for(total)
+    deadline = time.monotonic() + FREE_CPU_WAIT_S
+    collected = False
+    while True:
+        free = ray.available_resources().get("CPU", 0.0)
+        fits = min(want, _writers_for(free))
+        if fits == want or time.monotonic() >= deadline:
+            break
+        if not collected:
+            # unreachable actor handles (a finished Ray Data actor
+            # pool's, say) hold their CPUs until the driver collects them
+            gc.collect()
+            collected = True
+        time.sleep(0.1)
+    if fits == 0:
+        raise RuntimeError(
+            f"spill build needs {WRITER_CPUS + 1:g} free CPUs (one writer "
+            f"× {WRITER_CPUS} + 1 read task) but {free:g} of the "
+            f"session's {total:g} are free; stop the actors holding them "
+            f"or start Ray with more CPUs")
+    return fits
 
 
 # above this row count the doc-stat partial merge goes through a Ray

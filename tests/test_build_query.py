@@ -36,6 +36,22 @@ def oracle():
     return OracleIndex(transcripts_table(N_CONV))
 
 
+# the salting floor (num_salts × block_size × 4) is 128 here, so this
+# corpus salts its head; at the default settings it salts nothing
+SALTED = IndexConfig(num_salts=2, block_size=16)
+
+
+@pytest.fixture(scope="module")
+def salted_index(ray_session):
+    idx = IDX + "_salted"
+    shutil.rmtree(idx, ignore_errors=True)
+    meta = build_index(lambda: transcripts_dataset(N_CONV), idx, SALTED,
+                       input_token=f"synthetic:n={N_CONV}")
+    assert meta["hot_terms"], "the salted fixture salted nothing"
+    yield idx
+    shutil.rmtree(idx, ignore_errors=True)
+
+
 def test_build_meta(built_index):
     assert built_index["n_docs"] == N_CONV
     assert built_index["n_postings"] > 0
@@ -126,20 +142,16 @@ def test_determinism_across_parallelism(built_index, ray_session):
     shutil.rmtree(idx2, ignore_errors=True)
 
 
-def test_salting_transparency(built_index, oracle, ray_session):
+def test_salting_transparency(built_index, salted_index, oracle):
     """FIXTURES §4.4: hot-term salting on vs off → identical results."""
-    idx3 = IDX + "_nosalt"
-    shutil.rmtree(idx3, ignore_errors=True)
-    cfg = IndexConfig(hot_df_ratio=10.0)  # threshold unreachable → no salting
-    build_index(lambda: transcripts_dataset(N_CONV), idx3, cfg,
-                input_token=f"synthetic:n={N_CONV}")
-    assert load_meta(idx3)["hot_terms"] == []
-    se = IndexSearcher(idx3)
+    assert built_index["hot_terms"] == []   # below the floor: unsalted
+    plain, salted = IndexSearcher(IDX), IndexSearcher(salted_index)
     for qid, q, k in query_set():
-        d1, s1 = se.search(q, k)
-        d2, s2 = oracle.search(q, k)
-        assert list(d1) == list(d2) and list(s1) == list(s2), qid
-    shutil.rmtree(idx3, ignore_errors=True)
+        d1, s1 = salted.search(q, k)
+        d2, s2 = plain.search(q, k)
+        d3, s3 = oracle.search(q, k)
+        assert list(d1) == list(d2) == list(d3), qid
+        assert list(s1) == list(s2) == list(s3), qid
 
 
 def test_resume_after_partial_build(built_index, oracle, ray_session):
@@ -295,6 +307,49 @@ def test_hot_sampling_covers_corpus_tail(ray_session):
     assert set(map(int, hot)) == set(map(int, hot2))  # seeded → stable
 
 
+def _hot_tokens(ds, cfg, tokens) -> set:
+    from open_source_search_engine_ray.functions.ghash import (
+        TERMID_MASK, hash64_lower_utf8)
+    from open_source_search_engine_ray.index.build import estimate_hot_terms
+
+    hot = set(int(t) for t in estimate_hot_terms(ds, cfg))
+    return {tok for tok in tokens
+            if int(np.uint64(hash64_lower_utf8(tok)) & TERMID_MASK) in hot}
+
+
+def test_hot_terms_need_ratio_and_floor(ray_session):
+    """A term is salted only when it is frequent (≥ hot_df_ratio of the
+    sampled turns) AND its estimated list reaches num_salts × block_size
+    × 4 postings; the result does not depend on the input's blocks."""
+    import ray.data
+
+    cfg = IndexConfig(num_salts=2, block_size=64)        # floor 512
+    # 2000 turns: too few to survive thinning, so the sample is the
+    # whole corpus and the estimate is the exact count
+    rows = [{"conv_id": f"c{i}", "turn_idx": 0, "role": "user",
+             "text": " ".join(["bigterm"] * (i % 10 < 3)
+                              + ["smallterm"] * (i % 20 < 3)
+                              + [f"u{i}"]),
+             "tool": None} for i in range(2000)]
+    toks = ("bigterm", "smallterm")        # 600 and 300 turns, both ≥ 5%
+    hot = _hot_tokens(ray.data.from_items(rows).repartition(3), cfg, toks)
+    assert hot == {"bigterm"}
+    assert _hot_tokens(ray.data.from_items(rows).repartition(11), cfg,
+                       toks) == hot
+    # floor 4: the ratio alone decides, and both are salted
+    assert _hot_tokens(ray.data.from_items(rows).repartition(3),
+                       IndexConfig(num_salts=1, block_size=1),
+                       toks) == set(toks)
+    # 40k turns: the 1/16-thinned sample scales its counts by 16 —
+    # 6000 turns clear the default floor of 4096, 2400 do not
+    rows = [{"conv_id": f"c{i}", "turn_idx": 0, "role": "user",
+             "text": " ".join(["bigterm"] * (i % 20 < 3)
+                              + ["smallterm"] * (i % 50 < 3) + ["filler"]),
+             "tool": None} for i in range(40_000)]
+    assert _hot_tokens(ray.data.from_items(rows).repartition(8),
+                       IndexConfig(), toks) == {"bigterm"}
+
+
 def test_pagination_and_total_hits(built_index, oracle):
     """offset paging: page 2 equals rows 11-20 of a k=20 search (identical
     under pruning — engine prunes, oracle doesn't), and with_total returns
@@ -380,7 +435,7 @@ def test_resume_skips_spill_after_encode_crash(ray_session, monkeypatch,
     shutil.rmtree(idx, ignore_errors=True)
 
 
-def test_explain(built_index):
+def test_explain(built_index, salted_index, oracle):
     """explain() reports per-term stats and the chosen evaluation path."""
     se = IndexSearcher(IDX)
     e = se.explain(SearchRequest("w0042 w0777"))
@@ -391,9 +446,64 @@ def test_explain(built_index):
     assert se.explain(SearchRequest('"w0042 w0777"'))["phrases"]
     assert se.explain(SearchRequest("(w0042 OR w0777)"))["eval_path"] == \
         "boolean-tree"
-    # at this corpus scale single terms have df < 4096 → no block-max
-    # metadata → the kernel truly takes the exact route, and explain must
-    # say so (it mirrors evaluate's guards, incl. the field-scope one)
-    assert se.explain(SearchRequest("w0002"))["eval_path"] == "exact"
+    # the plan explain reports is the plan the kernel runs: the unsplit
+    # list carries stored block maxima, so a one-term query walks them;
+    # split across salts (and below BLOCK_MAX_MIN_DF) it has none and
+    # the same query is scored exactly — with the same results
+    e = se.explain(SearchRequest("w0002"))
+    assert (e["plan"], e["eval_path"]) == ("blockmax-single",
+                                           "block-max single-term")
     assert se.explain(SearchRequest("role:user w0002"))[
         "eval_path"].startswith("exact")
+    salted = IndexSearcher(salted_index)
+    e = salted.explain(SearchRequest("w0002"))
+    assert e["terms"][0]["term_id"] in load_meta(salted_index)["hot_terms"]
+    assert (e["plan"], e["eval_path"]) == ("exact", "exact")
+    d2, s2 = oracle.search("w0002", 10)
+    for searcher in (se, salted):
+        d1, s1 = searcher.search("w0002", 10)
+        assert list(d1) == list(d2) and list(s1) == list(s2)
+
+
+def test_build_without_free_cpus_fails_loudly(ray_session, monkeypatch):
+    """An actor holding the session's CPUs starves the spill writers and
+    their read tasks: the build must raise, naming the free and needed
+    CPUs, instead of waiting forever (a watchdog thread turns a hang
+    into a failure)."""
+    import threading
+
+    import ray
+
+    from open_source_search_engine_ray.stages import spill
+
+    monkeypatch.setattr(spill, "FREE_CPU_WAIT_S", 1.0, raising=False)
+
+    @ray.remote(num_cpus=ray.cluster_resources()["CPU"])
+    class Holder:
+        def ready(self):
+            return True
+
+    holder = Holder.remote()
+    idx = IDX + "_nocpu"
+    outcome = []
+
+    def run():
+        try:
+            build_index(lambda: transcripts_dataset(20), idx,
+                        input_token="synthetic:n=20:nocpu")
+            outcome.append(None)
+        except RuntimeError as e:
+            outcome.append(e)
+
+    try:
+        assert ray.get(holder.ready.remote(), timeout=60)
+        th = threading.Thread(target=run, daemon=True)
+        th.start()
+        th.join(timeout=60)
+        assert not th.is_alive(), "build_index hung without free CPUs"
+    finally:
+        ray.kill(holder)
+    assert outcome and isinstance(outcome[0], RuntimeError), outcome
+    msg = str(outcome[0])
+    assert "free CPUs" in msg and "of the session's" in msg, msg
+    shutil.rmtree(idx, ignore_errors=True)

@@ -22,6 +22,7 @@ def multi_gen(ray_session):
     import numpy as np
     import ray.data
 
+    from open_source_search_engine_ray.config import IndexConfig
     from open_source_search_engine_ray.functions.ghash import (
         doc_ids_for_convs)
     from open_source_search_engine_ray.index.build import build_index
@@ -31,8 +32,12 @@ def multi_gen(ray_session):
         generate_conv_rows, transcripts_dataset)
 
     shutil.rmtree(MG_IDX, ignore_errors=True)
-    build_index(lambda: transcripts_dataset(150), MG_IDX,
-                input_token="fanout-mg:base")
+    # salting floor 128: the base salts its head, so the fan-out merges
+    # salted splits (added generations inherit this config)
+    meta = build_index(lambda: transcripts_dataset(150), MG_IDX,
+                       IndexConfig(num_salts=2, block_size=16),
+                       input_token="fanout-mg:base")
+    assert meta["hot_terms"]
     add_documents(MG_IDX, lambda: ray.data.from_arrow(
         generate_conv_rows(np.arange(150, 190))), input_token="fanout-mg:g1")
     delete_docs(MG_IDX, doc_ids_for_convs(
@@ -47,8 +52,8 @@ def multi_gen(ray_session):
 
 @pytest.fixture(scope="module")
 def both(ray_session, multi_gen):
-    # multi_gen builds first: a build waits forever for the CPUs that
-    # live shard servers hold
+    # multi_gen builds first: a build cannot get the CPUs that live
+    # shard servers hold
     import os
     if not os.path.exists(f"{IDX}/index_meta.json"):
         import shutil

@@ -34,9 +34,15 @@ def _live_table() -> pa.Table:
 
 @pytest.fixture(scope="module")
 def incr_index(ray_session):
+    from open_source_search_engine_ray.config import IndexConfig
+
     shutil.rmtree(IDX, ignore_errors=True)
-    build_index(lambda: transcripts_dataset(BASE), IDX,
-                input_token=f"incr:base:{BASE}")
+    # salting floor 128: the base salts its head, so compaction merges
+    # salted splits (generations added later inherit this config)
+    meta = build_index(lambda: transcripts_dataset(BASE), IDX,
+                       IndexConfig(num_salts=2, block_size=16),
+                       input_token=f"incr:base:{BASE}")
+    assert meta["hot_terms"]
     # generation 1: append new conversations
     add_documents(IDX, lambda: transcripts_dataset_range(BASE, BASE + EXTRA),
                   input_token=f"incr:add:{BASE}-{BASE + EXTRA}")
@@ -108,6 +114,7 @@ def test_segment_merge_compaction(incr_index, live_oracle, ray_session):
     shutil.copytree(IDX, idx5)
     meta = compact_merge(idx5)
     assert meta["compacted_from"] == [0, 1, 2]
+    assert meta["hot_terms"]       # the salted splits went through a merge
     gens = read_generations(idx5)
     assert [g["gen"] for g in gens["generations"]] == [0]
     se = IndexSearcher(idx5)
@@ -119,6 +126,25 @@ def test_segment_merge_compaction(incr_index, live_oracle, ray_session):
         assert list(d1) == list(d2), (qid, q)
         assert list(s1) == list(s2), (qid, q)
     shutil.rmtree(idx5, ignore_errors=True)
+
+
+def test_carry_gate_counts_uncompressed_bytes(incr_index):
+    """compact_merge's in-process carry materializes decoded tables, so
+    its gate counts the Parquet row groups' uncompressed bytes — for a
+    text docstore more than the compressed files take on disk."""
+    import os
+
+    from open_source_search_engine_ray.index.merge import (_table_bytes,
+                                                           gen_dir)
+
+    gen_list = read_generations(incr_index)["generations"]
+    on_disk = 0
+    for g in gen_list:
+        d = os.path.join(gen_dir(incr_index, g["gen"]), "docstore")
+        on_disk += sum(os.path.getsize(os.path.join(d, f))
+                       for f in os.listdir(d))
+    assert on_disk > 0
+    assert _table_bytes(incr_index, gen_list, "docstore") > on_disk
 
 
 def test_update_documents(ray_session):

@@ -65,14 +65,17 @@ def test_hot_terms_persisted_for_resume(ray_session, monkeypatch):
     """Resume must reuse the hot-term set the existing shards were salted
     under — never resample (the sample depends on block structure and
     sampler version, neither captured by the fingerprint)."""
+    from open_source_search_engine_ray.config import IndexConfig
     from open_source_search_engine_ray.index import build as B
     from open_source_search_engine_ray.sources.transcripts import (
         transcripts_dataset)
 
     idx = "/tmp/osse_hotresume_idx"
     shutil.rmtree(idx, ignore_errors=True)
-    meta1 = B.build_index(lambda: transcripts_dataset(150), idx,
+    cfg = IndexConfig(num_salts=2, block_size=16)   # salting floor 128
+    meta1 = B.build_index(lambda: transcripts_dataset(150), idx, cfg,
                           input_token="synthetic:n=150")
+    assert meta1["hot_terms"], "nothing salted: the test proves nothing"
     calls = []
 
     def poisoned_sample(*a, **k):
@@ -80,7 +83,7 @@ def test_hot_terms_persisted_for_resume(ray_session, monkeypatch):
         return np.asarray([0xDEAD], dtype=np.uint64)
 
     monkeypatch.setattr(B, "estimate_hot_terms", poisoned_sample)
-    meta2 = B.build_index(lambda: transcripts_dataset(150), idx,
+    meta2 = B.build_index(lambda: transcripts_dataset(150), idx, cfg,
                           input_token="synthetic:n=150", resume=True)
     assert calls == [], "resume resampled hot terms"
     assert meta2["hot_terms"] == meta1["hot_terms"]
