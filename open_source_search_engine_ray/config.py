@@ -39,8 +39,9 @@ TURN_STRIDE = 2048
 class IndexConfig:
     # on-disk segment format version: part of the config hash, so caches,
     # resume fingerprints and index directories invalidate when the segment
-    # layout changes (v3: Parquet list columns, no varbyte blobs)
-    format_version: int = 3
+    # layout changes (v3: Parquet list columns, no varbyte blobs; v4: hot
+    # terms of partition p live in shards P + p × num_salts + salt)
+    format_version: int = 4
     # BM25 parameters (the scoring contract; see functions/bm25.py)
     k1: float = 1.2
     b: float = 0.75
@@ -54,11 +55,12 @@ class IndexConfig:
     # number of hash partitions for the posting-list shuffle
     num_partitions: int = 32
     # hot-term salting: a term's postings are split across `num_salts`
-    # groups when it occurs in at least this fraction of sampled turns
-    # AND its estimated posting count reaches num_salts × block_size × 4
-    # (4096 by default: each split keeps ≥ 4 blocks, and lists this long
-    # get block maxima recomputed after the query-side merge).  Below the
-    # floor a split list only multiplies the reads that fetch it.
+    # groups when it occurs in at least this fraction of the input turns
+    # AND its list holds at least num_salts × block_size × 4 docs (4096 by
+    # default: each split keeps ≥ 4 blocks, and lists this long get block
+    # maxima recomputed after the query-side merge).  Below the floor a
+    # split list only multiplies the reads that fetch it.  Both counts are
+    # exact: the encode stage decides, after merging every posting.
     hot_df_ratio: float = 0.05
     num_salts: int = 8
     # postings per block for block-max metadata (WAND pruning)
@@ -70,8 +72,8 @@ class IndexConfig:
     # doc-partitioned build (the 10^11-doc path): EVERY term's postings are
     # split by doc % num_salts, so shard = (term % P) * S + doc % S and the
     # per-shard encode task only needs the doc-length partition for its
-    # salt — the whole-corpus (doc_id, dl) broadcast disappears.  Hot-term
-    # sampling is skipped (universal salting already splits the Zipf head).
+    # salt — the whole-corpus (doc_id, dl) broadcast disappears.  No term
+    # is hot (universal salting already splits the Zipf head).
     # Query-side merges S splits per term via the tested salting machinery.
     # Off by default: the broadcast fast path wins below ~100M docs.
     salt_all_terms: bool = False
@@ -105,11 +107,6 @@ class IndexConfig:
     # punctuation spacing).  Query-side phrase offsets follow the same
     # cursor (query/parse.py); the oracle shares both code paths.
     position_mode: str = "ordinal"
-    # "spill": stateful actor-pool segment writers spill shard-sorted runs,
-    # per-shard merge tasks encode (LSM dump/merge analogue — scales with
-    # CPUs).  "groupby": ray.data groupby(shard).map_groups (object-store
-    # all-to-all).  Both produce byte-identical segments (tested).
-    build_strategy: str = "spill"
 
     def config_hash(self) -> str:
         return hashlib.sha256(

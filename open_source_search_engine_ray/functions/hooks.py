@@ -92,8 +92,8 @@ class HookStage:
 
 
 def hooked_factory(transcripts_ds_factory, hooks: IndexHooks | None):
-    """Wrap a Dataset factory so every consumer (hot-term sample, spill
-    pass, doc-stats pass, doc store) reads the hooked corpus."""
+    """Wrap a Dataset factory so every read of the input (the spill pass
+    or the small-build probe) sees the hooked corpus."""
     if hooks is None:
         return transcripts_ds_factory
 

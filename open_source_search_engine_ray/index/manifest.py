@@ -28,7 +28,10 @@ def segment_path(out_dir: str, shard: int, generation: int = 0) -> str:
 def write_manifest(out_dir: str, shard: int, *, fingerprint: str,
                    n_terms: int, n_postings: int, bytes_written: int,
                    wall_sec: float, salt: int | None = None,
+                   hot_terms: list[int] | None = None,
                    generation: int = 0) -> None:
+    """``hot_terms``: on a partition's own shard, the terms it salted
+    into its hot shards (the build's record of its hot set)."""
     path = manifest_path(out_dir, shard, generation)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     doc = {
@@ -41,6 +44,7 @@ def write_manifest(out_dir: str, shard: int, *, fingerprint: str,
         "bytes": bytes_written,
         "wall_sec": round(wall_sec, 4),
         "salt": salt,
+        "hot_terms": hot_terms,
         "written_at": time.time(),
     }
     tmp = path + ".tmp.%d" % os.getpid()

@@ -491,7 +491,7 @@ def merge_postings(parts, tomb, with_positions: bool = True,
     writes), then the survivors are concatenated and stably sorted by
     docId — by (term, docId) with ``by_term``, for parts of many terms —
     so equal keys keep part order.  The searchers, the fan-out
-    coordinator and both compaction tasks all merge here.
+    coordinator and compaction all merge here.
 
     → ``doc_ids``, ``tfs``, ``dl`` (+ ``term`` with ``by_term``,
     ``positions`` = (flat, offsets) with ``with_positions``) and
@@ -529,127 +529,37 @@ def merge_postings(parts, tomb, with_positions: bool = True,
     return out
 
 
-def _merge_normal_shard(gen_dirs: list[tuple[int, str]], shard: int,
-                        union_hot: np.ndarray, tomb,
-                        config: IndexConfig, avgdl: float,
-                        new_dir: str, fingerprint: str) -> dict:
-    """Merge one normal target shard from every generation's same-numbered
-    shard file (non-hot terms never move: shard = term % P in every
-    generation)."""
-    import pyarrow.compute as pc
-
-    from .manifest import write_manifest
-    from .segments import (SegmentReader, decode_posting_table,
-                           encode_from_groups, write_segment)
+def _merge_partition(gen_dirs: list[tuple[int, str]], part: int,
+                     union_hot: np.ndarray, tomb, config: IndexConfig,
+                     avgdl: float, new_dir: str,
+                     fingerprint: str) -> list[dict]:
+    """Merge partition ``part`` of every generation — its own shard and
+    its hot shards, where every posting of its terms lives in any
+    generation — and write it back split under the union hot set."""
+    from .build import _write_partition, hot_shards
     from .manifest import segment_path as seg_path
+    from .segments import SegmentReader, decode_posting_table
 
-    t0 = time.time()
+    shards = [part]
+    if not config.salt_all_terms:
+        shards += hot_shards(part, config.num_partitions, config.num_salts)
 
     def gen_parts():
-        # bulk path: each generation's shard table is decoded in ONE
-        # vectorized pass, one generation at a time, and merged by
-        # (term, doc) — equal keys keep generation order, the same order
-        # the per-term merge produces
+        # bulk path: each shard table is decoded in ONE vectorized pass,
+        # one generation at a time, and merged by (term, doc) — equal
+        # keys keep generation order, the same order the searcher's
+        # per-term merge produces
         for gen, d in gen_dirs:
-            path = seg_path(d, shard)
-            if not os.path.exists(path):
-                continue
-            tbl = SegmentReader(path).read_table()
-            if len(union_hot):
-                # re-salted terms go to the hot-term tasks
-                tbl = tbl.filter(pc.invert(pc.is_in(
-                    tbl["term_id"],
-                    value_set=pa.array(union_hot, pa.uint64()))))
-            yield gen, decode_posting_table(tbl, with_positions=True)
+            for shard in shards:
+                path = seg_path(d, shard)
+                if os.path.exists(path):
+                    yield gen, decode_posting_table(
+                        SegmentReader(path).read_table(), with_positions=True)
 
-    m = merge_postings(gen_parts(), tomb, by_term=True)
-    if m is not None:
-        from .build import _salt_of_shard
-
-        flat, offs = m["positions"]
-        seg = encode_from_groups(
-            m["term"], m["doc_ids"], m["dl"], m["tfs"], flat, np.diff(offs),
-            config, _salt_of_shard(shard, config), avgdl)
-        path = seg_path(new_dir, shard)
-        write_segment(seg, path)
-        n_terms, n_post = seg.num_rows, int(seg["df"].to_pandas().sum())
-        nbytes = os.path.getsize(path)
-    else:
-        n_terms = n_post = nbytes = 0
-    write_manifest(new_dir, shard, fingerprint=fingerprint,
-                   n_terms=n_terms, n_postings=n_post,
-                   bytes_written=nbytes, wall_sec=time.time() - t0)
-    return {"shard": shard, "n_terms": n_terms, "n_postings": n_post}
-
-
-def _merge_hot_terms(gen_infos: list[tuple[int, str, list, int, int]],
-                     hot_items: list[tuple[int, int]], union_hot: np.ndarray,
-                     tomb, config: IndexConfig, avgdl: float,
-                     new_dir: str, fingerprint: str,
-                     target_p: int, target_s: int) -> list[dict]:
-    """Merge a chunk of hot terms: gather each term's parts from every
-    generation (its hot shards there, or its normal shard when that
-    generation didn't salt it), merge, re-split by doc % S into the target
-    hot shards."""
-    from ..functions.ragged import ragged_select
-    from .manifest import segment_path as seg_path, write_manifest
-    from .segments import (SegmentReader, decode_posting_table,
-                           encode_from_groups, write_segment)
-
-    out = []
-    per_shard_rows: dict[int, list] = {}
-    for hot_idx, term in hot_items:
-        parts = []
-        for gen, d, hot_list, p, s in gen_infos:
-            hot_arr = np.asarray(hot_list, dtype=np.uint64)
-            pos = int(np.searchsorted(hot_arr, np.uint64(term)))
-            if pos < len(hot_arr) and hot_arr[pos] == np.uint64(term):
-                shards = range(p + pos * s, p + pos * s + s)
-            else:
-                shards = [int(np.uint64(term) % np.uint64(p))]
-            for sh in shards:
-                path = seg_path(d, sh)
-                if not os.path.exists(path):
-                    continue
-                # a shard file holds at most one row per term
-                parts.append((gen, decode_posting_table(
-                    SegmentReader(path).read_terms([term]),
-                    with_positions=True)))
-        merged = merge_postings(parts, tomb)
-        if merged is None:
-            continue
-        docs, tfs, dl = merged["doc_ids"], merged["tfs"], merged["dl"]
-        flat, offs = merged["positions"]
-        salts = (docs % np.uint64(target_s)).astype(np.int64)
-        for salt in range(target_s):
-            sel = np.flatnonzero(salts == salt)
-            if len(sel) == 0:
-                continue
-            f2, o2 = ragged_select(flat, offs, sel)
-            shard = target_p + hot_idx * target_s + salt
-            per_shard_rows.setdefault(shard, []).append(
-                (term, docs[sel], tfs[sel], dl[sel], f2, np.diff(o2), salt))
-    for shard, rows in per_shard_rows.items():
-        t0 = time.time()
-        rows.sort(key=lambda r: r[0])
-        seg = encode_from_groups(
-            np.concatenate([np.full(len(r[1]), r[0], np.uint64)
-                            for r in rows]),
-            np.concatenate([r[1] for r in rows]),
-            np.concatenate([r[3] for r in rows]),
-            np.concatenate([r[2] for r in rows]),
-            np.concatenate([r[4] for r in rows]),
-            np.concatenate([r[5] for r in rows]),
-            config, rows[0][6], avgdl)
-        path = seg_path(new_dir, shard)
-        write_segment(seg, path)
-        write_manifest(new_dir, shard, fingerprint=fingerprint,
-                       n_terms=seg.num_rows,
-                       n_postings=int(seg["df"].to_pandas().sum()),
-                       bytes_written=os.path.getsize(path),
-                       wall_sec=time.time() - t0, salt=rows[0][6])
-        out.append({"shard": shard, "n_terms": seg.num_rows})
-    return out
+    p = np.uint64(config.num_partitions)
+    return _write_partition(merge_postings(gen_parts(), tomb, by_term=True),
+                            part, union_hot[union_hot % p == part], config,
+                            avgdl, new_dir, fingerprint)
 
 
 def compact_merge(out_dir: str) -> dict:
@@ -670,12 +580,9 @@ def compact_merge(out_dir: str) -> dict:
     tomb = read_tombstones(out_dir)
     gen_list = sorted(gens["generations"], key=lambda g: g["gen"])
     gen_dirs = [(g["gen"], gen_dir(out_dir, g["gen"])) for g in gen_list]
-    gen_infos = []
     hot_union: set[int] = set()
     for gen, d in gen_dirs:
         m = load_meta(d)
-        gen_infos.append((gen, d, sorted(m["hot_terms"]),
-                          m["num_partitions"], m["num_salts"]))
         hot_union.update(m["hot_terms"])
         gen_salt_all = bool(m["config"].get("salt_all_terms"))
         if (m["num_partitions"] != cfg.num_partitions
@@ -722,6 +629,7 @@ def compact_merge(out_dir: str) -> dict:
                                        cdoc, cwin, tdoc, tdead)
         pq.write_table(store_tbl,
                        os.path.join(store_dir, "part-00000.parquet"))
+        n_turns = store_tbl.num_rows
     else:
         from ray.data.aggregate import Count, Sum
 
@@ -741,31 +649,27 @@ def compact_merge(out_dir: str) -> dict:
         total_dlq = int(agg["t"] or 0) if agg else 0
         live_docs_ds(out_dir, "docstore",
                      _precomputed=pre).write_parquet(store_dir)
+        n_turns = sum(pq.read_metadata(os.path.join(store_dir, f)).num_rows
+                      for f in os.listdir(store_dir)
+                      if f.endswith(".parquet"))
     avgdl = float(np.float64(total_dlq) / 4.0 / np.float64(max(1, n_docs)))
 
-    p, s = cfg.num_partitions, cfg.num_salts
-    n_normal = p * s if cfg.salt_all_terms else p
-    norm_task = ray.remote(num_cpus=1)(_merge_normal_shard)
-    futs = [norm_task.remote(gen_dirs, sh, union_hot, tomb, cfg, avgdl,
-                             new_dir, fingerprint) for sh in range(n_normal)]
-    hot_items = list(enumerate(int(t) for t in union_hot))
-    hot_task = ray.remote(num_cpus=1)(_merge_hot_terms)
-    chunk = max(1, len(hot_items) // 32) if hot_items else 1
-    futs += [hot_task.remote(gen_infos, hot_items[i:i + chunk], union_hot,
-                             tomb, cfg, avgdl, new_dir, fingerprint, p, s)
-             for i in range(0, len(hot_items), chunk)]
-    results = ray.get(futs)
+    from .build import _partitions
 
-    n_terms = n_postings = 0
-    for r in results:
-        for item in (r if isinstance(r, list) else [r]):
-            n_terms += item.get("n_terms", 0)
-            n_postings += item.get("n_postings", 0)
+    task = ray.remote(num_cpus=1)(_merge_partition)
+    rows = [row for res in ray.get([
+        task.remote(gen_dirs, part, union_hot, tomb, cfg, avgdl, new_dir,
+                    fingerprint) for part in _partitions(cfg)])
+        for row in res]
+    n_terms = sum(r["n_terms"] for r in rows)
+    n_postings = sum(r["n_postings"] for r in rows)
     meta = dict(base_meta)
     meta.update({
         "fingerprint": fingerprint,
         "n_docs": n_docs, "total_dlq": total_dlq, "avgdl": avgdl,
+        "n_turns": n_turns,
         "hot_terms": [int(t) for t in union_hot],
+        "built_shards": sorted(r["shard"] for r in rows),
         "n_terms": n_terms, "n_postings": n_postings,
         "compacted_from": [g["gen"] for g in gen_list],
     })

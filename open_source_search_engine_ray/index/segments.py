@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..config import IndexConfig, NUM_FIELDS
+from ..config import IndexConfig, NUM_FIELDS, TURN_STRIDE
 from ..functions.ragged import ragged_arange
 
 SEGMENT_SCHEMA = pa.schema([
@@ -57,15 +57,32 @@ _DELTA_COLUMNS = ["doc_ids", "tfs", "pos_counts", "pos_deltas"]
 
 def encode_shard(postings: pa.Table, config: IndexConfig, salt: int,
                  avgdl: float) -> pa.Table:
-    """Encode one shard's posting partials into segment rows.
+    """Encode one shard's posting partials into segment rows."""
+    g = merge_partials(postings, config)
+    if g is None:
+        return SEGMENT_SCHEMA.empty_table()
+    flat, offs = g["positions"]
+    return encode_from_groups(g["term"], g["doc_ids"], g["dl"], g["tfs"],
+                              flat, np.diff(offs), config, salt, avgdl)
+
+
+def merge_partials(postings: pa.Table, config: IndexConfig) -> dict | None:
+    """Merge posting partials into one group per (term, doc).
 
     ``postings`` columns: term_id, doc_id, field, tf, positions, dl.
     Partials with the same (term, doc) from different turns/batches are
     merged here (tf summed per field, positions concatenated sorted) — the
     posting-merge analogue of ``RdbList::posdbMerge_r``.
+
+    → groups sorted by (term, doc): ``term``, ``doc_ids``, ``dl``, ``tfs``
+    (n, NUM_FIELDS), ``positions`` = (flat, offsets) capped at
+    ``max_positions_per_doc``, and ``turns``: the distinct turns the
+    (term, doc) occurs in, counted before the cap (exact whatever the
+    batch boundaries: positions are ``turn_idx × TURN_STRIDE + ordinal``).
+    None when there are no postings.
     """
     if postings.num_rows == 0:
-        return SEGMENT_SCHEMA.empty_table()
+        return None
     postings = postings.combine_chunks()
     term = postings["term_id"].to_numpy()
     doc = postings["doc_id"].to_numpy()
@@ -94,9 +111,6 @@ def encode_shard(postings: pa.Table, config: IndexConfig, salt: int,
     # per-(term,doc) per-field tf matrix
     tfs = np.zeros((n_td, NUM_FIELDS), dtype=np.int64)
     np.add.at(tfs, (td_id, field), tf)
-    g_term = term[td_starts]
-    g_doc = doc[td_starts]
-    g_dl = dl[td_starts]
 
     # positions per (term,doc): concatenate source lists in row order
     # (sorted by (term,doc,field); within each original list positions are
@@ -110,8 +124,13 @@ def encode_shard(postings: pa.Table, config: IndexConfig, salt: int,
     grp_of_pos = np.repeat(td_id, row_pos_lens)
     pos_order = np.lexsort((flat_pos, grp_of_pos))
     flat_pos = flat_pos[pos_order]
-    grp_pos_counts = np.zeros(n_td, dtype=np.int64)
-    np.add.at(grp_pos_counts, grp_of_pos, 1)
+    grp_of_pos = grp_of_pos[pos_order]
+    grp_pos_counts = np.bincount(grp_of_pos, minlength=n_td)
+
+    turn = flat_pos // TURN_STRIDE
+    new_turn = np.ones(len(flat_pos), dtype=bool)
+    new_turn[1:] = (grp_of_pos[1:] != grp_of_pos[:-1]) | (turn[1:] != turn[:-1])
+    turns = np.bincount(grp_of_pos[new_turn], minlength=n_td)
 
     # deterministic positions cap: per (term, doc), after the merge of all
     # batch partials and the ascending sort, keep only the first
@@ -123,8 +142,11 @@ def encode_shard(postings: pa.Table, config: IndexConfig, salt: int,
         flat_pos = flat_pos[keep]
         grp_pos_counts = np.minimum(grp_pos_counts, cap)
 
-    return encode_from_groups(g_term, g_doc, g_dl, tfs, flat_pos,
-                              grp_pos_counts, config, salt, avgdl)
+    return {"term": term[td_starts], "doc_ids": doc[td_starts],
+            "dl": dl[td_starts], "tfs": tfs,
+            "positions": (flat_pos, np.concatenate(
+                [[0], np.cumsum(grp_pos_counts)]).astype(np.int64)),
+            "turns": turns}
 
 
 def encode_from_groups(g_term: np.ndarray, g_doc: np.ndarray,
@@ -133,7 +155,7 @@ def encode_from_groups(g_term: np.ndarray, g_doc: np.ndarray,
                        config: IndexConfig, salt: int,
                        avgdl: float) -> pa.Table:
     """Encode already-merged (term, doc) groups (sorted by term then doc)
-    into segment rows.  Shared by the build path (``encode_shard``) and
+    into segment rows.  Shared by the build path (``merge_partials``) and
     segment-level compaction (index/merge.py) — same rows either way."""
     if len(g_term) == 0:
         return SEGMENT_SCHEMA.empty_table()

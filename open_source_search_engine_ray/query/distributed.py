@@ -64,10 +64,7 @@ class DistributedSearcher(IndexSearcher):
 
         super().__init__(index_dir)
         # shard universe = max over generations (hot sets can differ)
-        max_shard = max(
-            (g.p * g.s if g.meta["config"].get("salt_all_terms")
-             else g.p + len(g.hot_terms) * g.s)
-            for g in self._gens)
+        max_shard = max(g.n_shards for g in self._gens)
         self.n_servers = n_servers
         server_cls = ray.remote(num_cpus=0.5)(ShardServer)
         owned = [[s for s in range(max_shard) if s % n_servers == i]

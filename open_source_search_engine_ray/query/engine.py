@@ -35,14 +35,14 @@ import numpy as np
 import pyarrow as pa
 
 from ..config import IndexConfig
-from ..index.build import load_meta
+from ..index.build import hot_shards, load_meta
 from ..index.manifest import segment_path
 from ..index.merge import (gen_dir, merge_postings, read_generations,
                            read_tombstones)
 from ..index.segments import SegmentReader, decode_posting_row
 from .cache import MISSING, LruBytesCache, approx_nbytes
-from .kernel import (TermPostings, candidate_docs, evaluate, evaluate_after,
-                     evaluate_rerank, select_plan)
+from .kernel import (BLOCK_MAX_MIN_DF, TermPostings, candidate_docs,
+                     evaluate, evaluate_after, evaluate_rerank, select_plan)
 from .parse import ParsedQuery, parse_query
 
 
@@ -88,9 +88,6 @@ def _truncate_postings(tp: TermPostings, max_bytes: int,
 # target postings per docId range of the parallel exact path — below
 # this per-range size, task fixed costs beat the kernel time saved
 PARALLEL_MIN_POSTINGS = 150_000
-# lists this long get block maxima recomputed when the stored ones do not
-# apply (tests lower it to reach the recompute on a small index)
-BLOCK_MAX_MIN_DF = 4096
 
 
 def _check_attr_table(table: tuple, name: str):
@@ -290,15 +287,21 @@ class _GenIndex:
 
     def shards_for_term(self, term_id: int) -> list[int]:
         t = np.uint64(term_id)
+        part = int(t % np.uint64(self.p))
         if self.meta["config"].get("salt_all_terms"):
-            base = int(t % np.uint64(self.p)) * self.s
-            return list(range(base, base + self.s))
+            return list(range(part * self.s, (part + 1) * self.s))
         if len(self.hot_terms):
             i = int(np.searchsorted(self.hot_terms, t))
             if i < len(self.hot_terms) and self.hot_terms[i] == t:
-                base = self.p + i * self.s
-                return list(range(base, base + self.s))
-        return [int(t % np.uint64(self.p))]
+                return hot_shards(part, self.p, self.s)
+        return [part]
+
+    @property
+    def n_shards(self) -> int:
+        """One past the highest shard number this generation may hold."""
+        if self.meta["config"].get("salt_all_terms"):
+            return self.p * self.s
+        return self.p * (1 + self.s) if len(self.hot_terms) else self.p
 
     def raw_postings(self, term_id: int, with_positions: bool = False,
                      owned: frozenset | None = None) -> list[dict]:

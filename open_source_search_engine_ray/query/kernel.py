@@ -49,6 +49,12 @@ class TermPostings:
 # below this summed-df the exhaustive union scan is cheaper than building
 # impact orders (tests lower it to force the impact-ordered path)
 IMPACT_UNION_MIN_POSTINGS = 100_000
+# lists this long take the block-max walk for a one-term query, and get
+# block maxima recomputed when the stored ones do not apply.  Below it the
+# walk costs more than exact scoring: on the sf0.1 index it was slower at
+# every df up to 4k and mostly faster from 6.6k.  Tests lower it to reach
+# both on a small index.
+BLOCK_MAX_MIN_DF = 4096
 
 
 def in_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
@@ -465,7 +471,7 @@ def select_plan(query: ParsedQuery, lists: dict[int, TermPostings | None],
             # impact-ordered path answers from its first chunk instead
             if tp.df > IMPACT_UNION_MIN_POSTINGS:
                 return "impact-single"
-            if tp.block_max is not None and tp.df > 4 * k:
+            if tp.block_max is not None and tp.df >= BLOCK_MAX_MIN_DF:
                 return "blockmax-single"
     if (len(positives_all) > 1
             and not any(t.required for t in positives_all)

@@ -6,13 +6,13 @@ keeps full score; others are multiplied down by the sameLangWeight parm).
 Two halves, both riding machinery that already exists:
 
 - **Build** (:func:`build_doclang`): one streaming pass over the index's
-  LIVE docstore (same view as the spell vocabulary).  Map-side, each
-  batch concatenates the turns it holds per doc and classifies the
-  prefix with the TextCat n-gram classifier (functions/langid.py) —
-  only tiny ``(doc_id, lang, n_chars)`` rows ever shuffle; a
-  ``groupby(doc_id)`` picks the classification that saw the most text
-  (deterministic ties by lang asc).  Written as ``doclang.parquet``
-  beside the generations file.
+  LIVE docstore (same view as the spell vocabulary).  A
+  ``groupby(doc_id)`` gathers each doc's turns (each clipped map-side to
+  ``PREFIX_CHARS``, so little text shuffles), orders them by
+  ``turn_idx`` and classifies the doc's first ``PREFIX_CHARS`` once with
+  the TextCat n-gram classifier (functions/langid.py) — so the table
+  does not depend on how the docstore is split into blocks.  Written as
+  ``doclang.parquet`` beside the generations file.
 
 - **Serve** (:func:`language_prior`): loads the doclang table once
   (sorted doc_id + lang code arrays — 9 bytes/doc, the same
@@ -29,8 +29,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 DOCLANG_FILE = "doclang.parquet"
@@ -48,34 +48,31 @@ def build_doclang(out_dir: str) -> str:
     from ..functions.langid import classify
     from ..index.merge import live_docs_ds
 
-    def partial(b: pa.Table) -> pa.Table:
-        texts: dict[int, list[str]] = {}
-        for d, t in zip(b["doc_id"].to_numpy(),
-                        b["text"].to_pylist()):
-            lst = texts.setdefault(int(d), [])
-            if sum(len(s) for s in lst) < PREFIX_CHARS:
-                lst.append(t or "")
-        ids, langs, chars = [], [], []
-        for d, lst in texts.items():
-            prefix = " ".join(lst)[:PREFIX_CHARS]
-            lang, _conf = classify(prefix)
-            ids.append(d)
-            langs.append(lang)
-            chars.append(len(prefix))
-        return pa.table({
-            "doc_id": pa.array(np.asarray(ids, dtype=np.uint64)),
-            "lang": pa.array(langs, pa.string()),
-            "n_chars": pa.array(chars, pa.int64()),
-        })
+    def clip(b: pa.Table) -> pa.Table:
+        # no turn adds more than PREFIX_CHARS to a prefix: shuffle no more
+        return b.set_column(b.schema.get_field_index("text"), "text",
+                            pc.utf8_slice_codeunits(
+                                pc.fill_null(b["text"], ""), 0, PREFIX_CHARS))
 
-    def best(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["n_chars", "lang"],
-                          ascending=[False, True]).head(1)
-        return g[["doc_id", "lang"]]
+    def classify_doc(g: pa.Table) -> pa.Table:
+        # the doc's turns in turn_idx order (text breaks ties), then the
+        # first PREFIX_CHARS of their text, classified once
+        g = g.sort_by([("turn_idx", "ascending"), ("text", "ascending")])
+        parts, n = [], 0
+        for t in g["text"].to_pylist():
+            if n >= PREFIX_CHARS:
+                break
+            parts.append(t)
+            n += len(t)
+        lang, _conf = classify(" ".join(parts)[:PREFIX_CHARS])
+        return pa.table({"doc_id": g["doc_id"].slice(0, 1),
+                         "lang": pa.array([lang], pa.string())})
 
-    tbl = (live_docs_ds(out_dir, "docstore", columns=["doc_id", "text"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("doc_id").map_groups(best, batch_format="pandas")
+    tbl = (live_docs_ds(out_dir, "docstore",
+                        columns=["doc_id", "turn_idx", "text"])
+           .map_batches(clip, batch_format="pyarrow")
+           .groupby("doc_id").map_groups(classify_doc,
+                                         batch_format="pyarrow")
            .to_pandas())
     if "doc_id" not in tbl.columns:     # empty corpus
         out = pa.table({"doc_id": pa.array([], pa.uint64()),

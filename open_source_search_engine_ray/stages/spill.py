@@ -13,19 +13,18 @@ iterator and, in ONE tokenization pass, produces all three build outputs:
 3. the doc store (transcript rows + doc_id), written directly as Parquet
    parts.
 
-Why not ``groupby(shard)``?  Measured on this node, the all-to-all
-object-store sort of ~10M posting partials is coordination-bound — wall
-time is flat from 8→32 CPUs.  Spilling shard-sorted runs from the tokenize
-actors and merging per shard turns the exchange into embarrassingly
-parallel file IO, and fusing stats+docstore into the same pass removes two
-whole input reads.  On a multi-node cluster the spill directory is shared
-storage (the disk-backed shuffle structure Spark/MR use).  The
-``groupby`` path is kept as ``IndexConfig.build_strategy = "groupby"`` and
-both are asserted rank-identical in tests.
+Why not ``groupby(shard)``?  Measured on an 8→32-CPU node, the
+all-to-all object-store sort of ~10M posting partials is
+coordination-bound — wall time stayed flat.  Spilling shard-sorted runs
+from the tokenize actors and merging per shard turns the exchange into
+embarrassingly parallel file IO, and fusing stats+docstore into the same
+pass makes it the build's only read of the input.  On a multi-node
+cluster the spill directory is shared storage (the disk-backed shuffle
+structure Spark/MR use).
 
-Document lengths are NOT attached here (they aren't known until the pass
-ends); the per-shard encode stage attaches them from the broadcast
-doc-stats table instead.
+Document lengths and hot terms are NOT decided here (neither is known
+until the pass ends): the per-partition encode stage attaches lengths
+from the doc-stats table and salts a term from its exact merged counts.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ class SpillWriter:
     """Ray actor: consume one streaming split → runs + stats + docstore."""
 
     def __init__(self, writer_id: int, spill_dir: str, docstore_dir: str,
-                 config: IndexConfig, hot_ref, stats_dir: str | None = None):
+                 config: IndexConfig, stats_dir: str | None = None):
         self.writer_id = writer_id
         self.spill_dir = spill_dir
         self.docstore_dir = docstore_dir
@@ -62,7 +61,7 @@ class SpillWriter:
         # of returned through the driver (the 10^11-doc path: partials never
         # accumulate driver-side; a distributed aggregate merges them)
         self.stats_dir = stats_dir
-        self.tok = TokenizePostings(config, None, hot_ref)
+        self.tok = TokenizePostings(config)
         self.buf: list[pa.Table] = []
         self.buf_rows = 0
         self.store_buf: list[pa.Table] = []
@@ -70,6 +69,7 @@ class SpillWriter:
         self.stat_parts: list[pa.Table] = []
         self.n_runs = 0
         self.n_store = 0
+        self.n_turns = 0
         self.files: list[str] = []
         self.timings = {"pull": 0.0, "tokenize": 0.0, "flush": 0.0}
         os.makedirs(spill_dir, exist_ok=True)
@@ -137,6 +137,7 @@ class SpillWriter:
             self.timings["pull"] += t0 - t_last
             postings, stats = self.tok.process(batch)
             self.timings["tokenize"] += _time.time() - t0
+            self.n_turns += batch.num_rows
             if postings.num_rows:
                 self.buf.append(postings)
                 self.buf_rows += postings.num_rows
@@ -169,27 +170,30 @@ class SpillWriter:
             pq.write_table(stats_tbl, path + ".writing")
             os.replace(path + ".writing", path)
             stats_tbl = None
-        return self.files, stats_tbl, dict(self.timings)
+        return self.files, stats_tbl, self.n_turns, dict(self.timings)
 
 
 def spill_postings(transcripts_ds, spill_dir: str, docstore_dir: str,
-                   config: IndexConfig, hot_ref,
-                   num_writers: int, stats_dir: str | None = None):
+                   config: IndexConfig, num_writers: int,
+                   stats_dir: str | None = None):
     """Run the fused actor pool → (run files, merged doc-stats DataFrame —
-    or None when ``stats_dir`` routes the partials to disk)."""
+    or None when ``stats_dir`` routes the partials to disk —, input turns
+    read, per-writer timings summed)."""
     import ray
 
     writer_cls = ray.remote(num_cpus=WRITER_CPUS)(SpillWriter)
-    writers = [writer_cls.remote(i, spill_dir, docstore_dir, config, hot_ref,
+    writers = [writer_cls.remote(i, spill_dir, docstore_dir, config,
                                  stats_dir)
                for i in range(num_writers)]
     splits = transcripts_ds.streaming_split(num_writers, equal=False)
     futs = [w.consume.remote(s) for w, s in zip(writers, splits)]
     files: list[str] = []
     stat_tables: list[pa.Table] = []
+    n_turns = 0
     timings = {"pull": 0.0, "tokenize": 0.0, "flush": 0.0}
-    for f, st, tm in ray.get(futs):
+    for f, st, n, tm in ray.get(futs):
         files.extend(f)
+        n_turns += n
         if st is not None:
             stat_tables.append(st)
         for k, v in tm.items():
@@ -197,7 +201,7 @@ def spill_postings(transcripts_ds, spill_dir: str, docstore_dir: str,
     for w in writers:
         ray.kill(w)
     merged = _merge_doc_stats(stat_tables) if stats_dir is None else None
-    return files, merged, timings
+    return files, merged, n_turns, timings
 
 
 def _writers_for(cpus: float) -> int:
@@ -285,12 +289,6 @@ def estimate_shard_rows(run_files: list[str],
             if sh < n_shards:
                 est[sh] += n
     return est
-
-
-def read_shard_range(run_files: list[str], lo: int,
-                     hi: int) -> dict[int, pa.Table]:
-    """Contiguous-range convenience wrapper over :func:`read_shards`."""
-    return read_shards(run_files, range(lo, hi + 1))
 
 
 def read_shards(run_files: list[str], shards) -> dict[int, pa.Table]:

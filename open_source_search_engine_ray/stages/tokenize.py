@@ -1,10 +1,9 @@
 """Tokenize stages: transcripts → per-turn doc-stat rows and posting partials.
 
-Both stages are callable classes used as Ray Data actor pools
-(``map_batches(Cls, concurrency=N)``): the token-hash cache, compiled
-regexes and the broadcast doc-length table are loaded once per actor in
-``__init__`` (the analogue of the reference loading unicode tables once per
-process, ``SURVEY.md`` §2.4).
+``TokenizePostings`` runs inside each spill writer actor (and in-process
+for small builds): the token-hash cache and compiled regexes are loaded
+once per actor in ``__init__`` (the analogue of the reference loading
+unicode tables once per process, ``SURVEY.md`` §2.4).
 
 Positions: ``pos = turn_idx * TURN_STRIDE + token_ordinal`` (see
 config.TURN_STRIDE).  This makes position assignment embarrassingly
@@ -19,19 +18,7 @@ import pyarrow as pa
 
 from ..config import IndexConfig, TURN_STRIDE, NUM_FIELDS, role_tool_to_field
 from ..functions.ghash import doc_ids_for_convs
-from ..functions.tokenizer import TokenHashCache, terms_for_texts, tokenize
-
-
-def _maybe_get(ref):
-    """Resolve a value that may be an ObjectRef (map_batches
-    fn_constructor_kwargs keep refs; actor-constructor args auto-resolve)."""
-    if ref is None:
-        return None
-    import ray
-
-    if isinstance(ref, ray.ObjectRef):
-        return ray.get(ref)
-    return ref
+from ..functions.tokenizer import TokenHashCache, terms_for_texts
 
 
 def _doc_ids_for_column(conv_col) -> np.ndarray:
@@ -52,104 +39,28 @@ def _fields_for(role_col, tool_col) -> np.ndarray:
         dtype=np.uint8, count=len(roles))
 
 
-class TurnStats:
-    """Per-turn token counts per field → doc-stats partials.
-
-    Output: doc_id, conv_id, turn_idx, len_f0..f3 (word-token counts),
-    dl_q (4 × weighted length, an exact int — see functions/bm25.py).
-    """
-
-    def __init__(self, config: IndexConfig | None = None):
-        self.config = config or IndexConfig()
-        self.cache = TokenHashCache()
-        self.wq = np.asarray(
-            [int(round(w * 4)) for w in self.config.field_weights],
-            dtype=np.int64)
-        if not np.allclose(self.wq / 4.0, self.config.field_weights):
-            raise ValueError("field_weights must be multiples of 1/4")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        n = len(texts)
-        if self.config.fragment_suppress > 0:
-            # suppressed tokens count nothing toward doc length — derive
-            # counts from the same masked term stream the postings use
-            rows_m, _, _, _ = terms_for_texts(
-                [t or "" for t in texts], self.cache, index_bigrams=False,
-                fragment_suppress=self.config.fragment_suppress)
-            counts = np.zeros(n, dtype=np.int64)
-            np.add.at(counts, rows_m, 1)
-        else:
-            counts = np.fromiter((len(tokenize(t or "")[0]) for t in texts),
-                                 dtype=np.int64, count=n)
-        fields = _fields_for(batch["role"], batch["tool"])
-        doc_ids = _doc_ids_for_column(batch["conv_id"])
-        lens = np.zeros((n, NUM_FIELDS), dtype=np.int64)
-        lens[np.arange(n), fields] = counts
-        dl_q = counts * self.wq[fields]
-        cols = {
-            "doc_id": pa.array(doc_ids, pa.uint64()),
-            "conv_id": batch["conv_id"],
-            "dl_q": pa.array(dl_q, pa.int64()),
-        }
-        for f in range(NUM_FIELDS):
-            cols[f"len_f{f}"] = pa.array(lens[:, f], pa.int64())
-        return pa.table(cols)
-
-
 class TokenizePostings:
     """Per-turn postings, partially aggregated per (doc, term, field) within
     the batch (map-side combine before the term shuffle, the analogue of the
     per-doc term table ``XmlDoc.cpp:13296-13650`` metalist assembly).
 
     Output: term_id u64, doc_id u64, field u8, tf i32, positions list<i32>,
-    dl f32 (weighted doc length from the broadcast doc-stats table),
-    shard i32 (the shuffle key: hash partition + hot-term salt).
+    shard i32 (the spill key: term % P, or (term % P) × S + doc % S under
+    ``salt_all_terms``).  Doc lengths and hot-term salting are both
+    decided at encode, where every posting of a term has been merged.
     """
 
-    def __init__(self, config: IndexConfig | None = None,
-                 dl_ref=None, hot_ref=None):
+    def __init__(self, config: IndexConfig | None = None):
         self.config = config or IndexConfig()
         self.cache = TokenHashCache()
-        dl = _maybe_get(dl_ref)
-        if dl is not None:
-            self.dl_doc_ids, self.dl_vals = dl  # sorted uint64, float32
-        else:
-            self.dl_doc_ids = None
-            self.dl_vals = None
-        # hot map: term_id (uint64 sorted) → dense hot index
-        hot = _maybe_get(hot_ref)
-        self.hot_terms = (hot if hot is not None
-                          else np.zeros(0, dtype=np.uint64))
-
-    def _lookup_dl(self, doc_ids: np.ndarray) -> np.ndarray:
-        if self.dl_doc_ids is None:
-            return np.zeros(len(doc_ids), dtype=np.float32)
-        idx = np.searchsorted(self.dl_doc_ids, doc_ids)
-        idx = np.clip(idx, 0, len(self.dl_doc_ids) - 1)
-        ok = self.dl_doc_ids[idx] == doc_ids
-        out = self.dl_vals[idx].astype(np.float32)
-        out[~ok] = np.float32(0.0)
-        return out
 
     def _shards(self, term_ids: np.ndarray, doc_ids: np.ndarray) -> np.ndarray:
         cfg = self.config
-        p = np.int32(cfg.num_partitions)
+        shard = (term_ids % np.uint64(cfg.num_partitions)).astype(np.int32)
         if cfg.salt_all_terms:
             # doc-partitioned layout: (term % P) * S + doc % S
-            return ((term_ids % np.uint64(cfg.num_partitions)).astype(np.int32)
-                    * np.int32(cfg.num_salts)
-                    + (doc_ids % np.uint64(cfg.num_salts)).astype(np.int32))
-        shard = (term_ids % np.uint64(cfg.num_partitions)).astype(np.int32)
-        if len(self.hot_terms):
-            hidx = np.searchsorted(self.hot_terms, term_ids)
-            hidx = np.clip(hidx, 0, len(self.hot_terms) - 1)
-            is_hot = self.hot_terms[hidx] == term_ids
-            salts = (doc_ids % np.uint64(cfg.num_salts)).astype(np.int32)
-            shard = np.where(
-                is_hot,
-                p + hidx.astype(np.int32) * np.int32(cfg.num_salts) + salts,
-                shard)
+            shard = (shard * np.int32(cfg.num_salts)
+                     + (doc_ids % np.uint64(cfg.num_salts)).astype(np.int32))
         return shard
 
     def process(self, batch: pa.Table):
@@ -186,7 +97,6 @@ class TokenizePostings:
                 "field": pa.array([], pa.uint8()),
                 "tf": pa.array([], pa.int32()),
                 "positions": pa.array([], pa.list_(pa.int32())),
-                "dl": pa.array([], pa.float32()),
                 "shard": pa.array([], pa.int32()),
             })
             return empty, stats
@@ -210,7 +120,7 @@ class TokenizePostings:
         g_field = field[starts]
         # positions list per group — uncapped here; the deterministic
         # max_positions_per_doc cap is applied once per (term, doc) at
-        # encode time (index/segments.py:encode_shard), where partials
+        # encode time (index/segments.py:merge_partials), where partials
         # from all batches have been merged, so segment bytes don't
         # depend on batch boundaries
         offsets32 = np.append(starts, len(doc)).astype(np.int64)
@@ -218,7 +128,6 @@ class TokenizePostings:
             pa.array(offsets32, pa.int32()),
             pa.array(gpos.astype(np.int32), pa.int32()))
 
-        dl = self._lookup_dl(g_doc)
         shard = self._shards(g_term, g_doc)
         postings = pa.table({
             "term_id": pa.array(g_term, pa.uint64()),
@@ -226,10 +135,6 @@ class TokenizePostings:
             "field": pa.array(g_field, pa.uint8()),
             "tf": pa.array(tf, pa.int32()),
             "positions": pos_list,
-            "dl": pa.array(dl, pa.float32()),
             "shard": pa.array(shard, pa.int32()),
         })
         return postings, stats
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.process(batch)[0]

@@ -28,3 +28,27 @@ def sf_smoke():
 @pytest.fixture(scope="session")
 def sf_correct():
     return "/root/testdata/sf0.01"
+
+
+@pytest.fixture(scope="session")
+def assert_cpus_released(ray_session):
+    """A check that every session CPU is free again within
+    ``FREE_CPU_WAIT_S`` (the time a build waits for CPUs still being
+    released).  It collects no garbage: an actor that only a collection
+    would free is a leak, and must fail it."""
+    import time
+
+    import ray
+
+    from open_source_search_engine_ray.stages.spill import FREE_CPU_WAIT_S
+
+    def check(after: str) -> None:
+        total = ray.cluster_resources().get("CPU", 0.0)
+        deadline = time.monotonic() + FREE_CPU_WAIT_S
+        free = ray.available_resources().get("CPU", 0.0)
+        while free < total and time.monotonic() < deadline:
+            time.sleep(0.1)
+            free = ray.available_resources().get("CPU", 0.0)
+        assert free >= total, (f"{total - free:g} of {total:g} CPUs still "
+                               f"held after {after}")
+    return check

@@ -211,6 +211,58 @@ def test_language_prior_build_and_rank_flip(ray_session, tmp_path):
     assert list(d1) == list(d2) and list(s1) == list(s2)
 
 
+def test_doclang_independent_of_blocks(ray_session, tmp_path):
+    """doclang.parquet is a function of the live corpus, not of how its
+    docstore is split into blocks: each doc's turns are gathered in
+    turn_idx order and its first PREFIX_CHARS classified once (a
+    per-block vote let a doc's later turns outvote its opening ones)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from open_source_search_engine_ray.index.build import build_index
+    from open_source_search_engine_ray.query.langprior import build_doclang
+    from open_source_search_engine_ray.sources.transcripts import (
+        TRANSCRIPTS_SCHEMA)
+
+    turns = [
+        "der hund und die katze sind nicht im haus aber der garten ist "
+        "gross und schön",
+        "wir haben das mit den kindern auf dem markt gekauft und es ist "
+        "für die ganze familie",
+        "the weather was fine and we walked along the river with the "
+        "children in the afternoon",
+        "they said that it would be the best way to get there before the "
+        "evening of the day",
+        "nous avons mangé dans le jardin avec les enfants et le chat de la "
+        "maison pour la fête",
+        "il est dans la cuisine avec une tasse de café et les journaux du "
+        "matin sur la table",
+    ]
+    n_docs = 20
+    # turn-major rows: every block holds a slice of every doc's turns
+    tbl = pa.table({
+        "conv_id": [f"mix-{d:03d}" for t in range(len(turns))
+                    for d in range(n_docs)],
+        "turn_idx": pa.array([t for t in range(len(turns))
+                              for d in range(n_docs)], pa.int32()),
+        "role": ["user"] * (len(turns) * n_docs),
+        "text": [turns[(t + d) % len(turns)] * (1 + d % 3)
+                 for t in range(len(turns)) for d in range(n_docs)],
+        "tool": pa.array([None] * (len(turns) * n_docs), pa.string()),
+        "ts": pa.array([0] * (len(turns) * n_docs), pa.timestamp("us")),
+    }).cast(TRANSCRIPTS_SCHEMA)
+    tables = []
+    for blocks in (3, 11):
+        idx = str(tmp_path / f"doclang{blocks}")
+        build_index(lambda: ray.data.from_arrow(tbl).repartition(blocks),
+                    idx, input_token="doclang-blocks")
+        tables.append(pq.read_table(build_doclang(idx)).replace_schema_metadata())
+    assert tables[0].num_rows == n_docs
+    assert tables[0].equals(tables[1])
+    assert len(set(tables[0]["lang"].to_pylist())) > 1
+
+
 def test_search_facets_matches_bruteforce(bp_index):
     """Facet query (gbfacetstr analogue): the per-language histogram of
     the EXACT matching set must equal a brute-force recount from the

@@ -179,11 +179,19 @@ def test_resume_after_partial_build(built_index, oracle, ray_session):
     shutil.rmtree(idx4, ignore_errors=True)
 
 
-def test_distributed_batch_eval(built_index, ray_session):
+def test_distributed_batch_eval(built_index, ray_session,
+                                assert_cpus_released):
+    import gc
+
     from open_source_search_engine_ray.query.engine import (
         evaluate_queries_distributed)
     res = evaluate_queries_distributed(IDX, query_set(), concurrency=2)
     df = res.to_pandas()
+    # the executed Dataset holds its actor pool (one CPU) in a reference
+    # cycle: drop it and collect, or the pool outlives the test
+    del res
+    gc.collect()
+    assert_cpus_released("evaluate_queries_distributed")
     se = IndexSearcher(IDX)
     for qid, q, k in query_set():
         d, s = se.search(q, k)
@@ -271,7 +279,7 @@ def test_doc_partitioned_build(oracle, ray_session):
     cfg = IndexConfig(salt_all_terms=True, num_salts=4)
     meta = build_index(lambda: transcripts_dataset(N_CONV), idx, cfg,
                        input_token=f"synthetic:n={N_CONV}")
-    assert meta["hot_terms"] == []           # universal salting, no sampling
+    assert meta["hot_terms"] == []           # universal salting: none hot
     assert len(meta["built_shards"]) == cfg.num_partitions * cfg.num_salts
     assert os.path.isdir(os.path.join(idx, "dlparts"))
     se = IndexSearcher(idx)
@@ -283,55 +291,48 @@ def test_doc_partitioned_build(oracle, ray_session):
     shutil.rmtree(idx, ignore_errors=True)
 
 
-def test_hot_sampling_covers_corpus_tail(ray_session):
-    """Hot-term estimation samples from a seeded random block permutation
-    with row thinning — a term hot only in the corpus TAIL is still
-    detected (the round-1 prefix take_batch missed it), deterministically."""
-    import ray.data
-
-    from open_source_search_engine_ray.functions.ghash import (
-        TERMID_MASK, hash64_lower_utf8)
-    from open_source_search_engine_ray.index.build import estimate_hot_terms
-
-    rows = []
-    for i in range(50_000):
-        txt = ("common filler words here" if i < 45_000
-               else "tailhot tailhot marker")
-        rows.append({"conv_id": f"c{i}", "turn_idx": 0, "role": "user",
-                     "text": txt, "tool": None})
-    ds = ray.data.from_items(rows).repartition(20)
-    hot = estimate_hot_terms(ds, IndexConfig())
-    tid = int(np.uint64(hash64_lower_utf8("tailhot")) & TERMID_MASK)
-    assert tid in set(int(t) for t in hot)
-    hot2 = estimate_hot_terms(ds, IndexConfig())
-    assert set(map(int, hot)) == set(map(int, hot2))  # seeded → stable
-
-
 def _hot_tokens(ds, cfg, tokens) -> set:
+    """The ``tokens`` a spill build of ``ds`` under ``cfg`` salts."""
     from open_source_search_engine_ray.functions.ghash import (
         TERMID_MASK, hash64_lower_utf8)
-    from open_source_search_engine_ray.index.build import estimate_hot_terms
 
-    hot = set(int(t) for t in estimate_hot_terms(ds, cfg))
+    idx = IDX + "_hot"
+    shutil.rmtree(idx, ignore_errors=True)
+    hot = set(build_index(lambda: ds, idx, cfg,
+                          input_token="hot-rule")["hot_terms"])
+    shutil.rmtree(idx, ignore_errors=True)
     return {tok for tok in tokens
             if int(np.uint64(hash64_lower_utf8(tok)) & TERMID_MASK) in hot}
 
 
+def test_hot_terms_cover_corpus_tail(ray_session):
+    """A term hot only in the corpus TAIL is salted: the encode step
+    counts every posting, so where a term sits in the input does not
+    matter (a round-1 prefix sample missed exactly this term)."""
+    import ray.data
+
+    rows = [{"conv_id": f"c{i}", "turn_idx": 0, "role": "user",
+             "text": ("common filler words here" if i < 4_500
+                      else "tailhot tailhot marker"), "tool": None}
+            for i in range(5_000)]
+    ds = ray.data.from_items(rows).repartition(20)
+    assert "tailhot" in _hot_tokens(ds, SALTED, ("tailhot",))
+
+
 def test_hot_terms_need_ratio_and_floor(ray_session):
-    """A term is salted only when it is frequent (≥ hot_df_ratio of the
-    sampled turns) AND its estimated list reaches num_salts × block_size
-    × 4 postings; the result does not depend on the input's blocks."""
+    """A term is salted only when it occurs in ≥ hot_df_ratio of the input
+    turns AND its list holds ≥ num_salts × block_size × 4 docs; the
+    result does not depend on the input's blocks."""
     import ray.data
 
     cfg = IndexConfig(num_salts=2, block_size=64)        # floor 512
-    # 2000 turns: too few to survive thinning, so the sample is the
-    # whole corpus and the estimate is the exact count
     rows = [{"conv_id": f"c{i}", "turn_idx": 0, "role": "user",
              "text": " ".join(["bigterm"] * (i % 10 < 3)
                               + ["smallterm"] * (i % 20 < 3)
                               + [f"u{i}"]),
              "tool": None} for i in range(2000)]
     toks = ("bigterm", "smallterm")        # 600 and 300 turns, both ≥ 5%
+    # ratio without floor: smallterm's 300 docs stay below 512
     hot = _hot_tokens(ray.data.from_items(rows).repartition(3), cfg, toks)
     assert hot == {"bigterm"}
     assert _hot_tokens(ray.data.from_items(rows).repartition(11), cfg,
@@ -340,14 +341,103 @@ def test_hot_terms_need_ratio_and_floor(ray_session):
     assert _hot_tokens(ray.data.from_items(rows).repartition(3),
                        IndexConfig(num_salts=1, block_size=1),
                        toks) == set(toks)
-    # 40k turns: the 1/16-thinned sample scales its counts by 16 —
-    # 6000 turns clear the default floor of 4096, 2400 do not
-    rows = [{"conv_id": f"c{i}", "turn_idx": 0, "role": "user",
-             "text": " ".join(["bigterm"] * (i % 20 < 3)
-                              + ["smallterm"] * (i % 50 < 3) + ["filler"]),
-             "tool": None} for i in range(40_000)]
-    assert _hot_tokens(ray.data.from_items(rows).repartition(8),
-                       IndexConfig(), toks) == {"bigterm"}
+    # floor without ratio: bigterm's 600 docs clear the floor, but 30% of
+    # the turns is below a 50% ratio
+    assert _hot_tokens(ray.data.from_items(rows).repartition(3),
+                       IndexConfig(num_salts=2, block_size=64,
+                                   hot_df_ratio=0.5), toks) == set()
+
+
+def _segment_bytes(idx: str) -> dict:
+    seg = os.path.join(idx, "segments", "gen=0")
+    out = {}
+    for name in sorted(os.listdir(seg)):
+        with open(os.path.join(seg, name), "rb") as f:
+            out[name] = f.read()
+    return out
+
+
+def test_build_is_a_function_of_the_corpus(salted_index, ray_session,
+                                           monkeypatch):
+    """Under a salting config, the segment files and the hot set depend
+    on the corpus alone: (a) the input's partitioning, (b) the small
+    in-process path vs the spill path and (c) a resume after an encode
+    crash all give byte-identical segments and the same hot terms."""
+    import ray.data
+
+    import open_source_search_engine_ray.index.build as build_mod
+
+    ref_meta = load_meta(salted_index)
+    ref = _segment_bytes(salted_index)
+    assert ref_meta["hot_terms"]
+    assert ref_meta["n_turns"] == transcripts_table(N_CONV).num_rows
+    tbl = transcripts_table(N_CONV)
+    idx = IDX + "_determinism"
+
+    def check(meta):
+        assert meta["hot_terms"] == ref_meta["hot_terms"]
+        assert meta["n_turns"] == ref_meta["n_turns"]
+        assert _segment_bytes(idx) == ref
+
+    # (a) partitioning
+    for blocks in (3, 11):
+        shutil.rmtree(idx, ignore_errors=True)
+        check(build_index(lambda: ray.data.from_arrow(tbl).repartition(
+            blocks), idx, SALTED, input_token=f"synthetic:n={N_CONV}"))
+    # (b) the small in-process path
+    shutil.rmtree(idx, ignore_errors=True)
+    meta = build_index(lambda: transcripts_dataset(N_CONV), idx, SALTED,
+                       input_token=f"synthetic:n={N_CONV}",
+                       small_input_max_rows=100_000)
+    assert "small_tokenize" in meta["phase_sec"]
+    check(meta)
+    # (c) the chunk holding the first hot term's partition fails after
+    # writing it; that partition also loses its manifest, as if the crash
+    # had come before the manifest write
+    hot_part = ref_meta["hot_terms"][0] % SALTED.num_partitions
+    orig = build_mod._encode_shard_chunk
+
+    def crash(run_files, parts, *a):
+        out = orig(run_files, parts, *a)
+        if hot_part in parts:
+            raise RuntimeError("injected encode crash")
+        return out
+
+    shutil.rmtree(idx, ignore_errors=True)
+    monkeypatch.setattr(build_mod, "_encode_shard_chunk", crash)
+    with pytest.raises(Exception, match="injected encode crash"):
+        build_index(lambda: transcripts_dataset(N_CONV), idx, SALTED,
+                    input_token=f"synthetic:n={N_CONV}")
+    monkeypatch.setattr(build_mod, "_encode_shard_chunk", orig)
+    from open_source_search_engine_ray.index.manifest import manifest_path
+    os.remove(manifest_path(idx, hot_part))
+    meta = build_index(lambda: transcripts_dataset(N_CONV), idx, SALTED,
+                       input_token=f"synthetic:n={N_CONV}", resume=True)
+    assert meta["phase_sec"]["spill"] == 0.0
+    check(meta)
+    shutil.rmtree(idx, ignore_errors=True)
+
+
+def test_old_layout_fails_loudly(salted_index, tmp_path):
+    """A format_version 3 index numbered its hot shards by hot-term rank:
+    opening one must fail and ask for a rebuild, not read wrong shards."""
+    import json
+
+    from open_source_search_engine_ray.index.merge import compact_merge
+
+    idx = str(tmp_path / "v3")
+    shutil.copytree(salted_index, idx)
+    path = os.path.join(idx, "index_meta.json")
+    with open(path) as f:
+        meta = json.load(f)
+    assert meta["hot_terms"]
+    meta["config"]["format_version"] = 3
+    with open(path, "w") as f:
+        json.dump(meta, f)
+    with pytest.raises(ValueError, match="format_version 3.*rebuild"):
+        IndexSearcher(idx)
+    with pytest.raises(ValueError, match="format_version 3.*rebuild"):
+        compact_merge(idx)
 
 
 def test_pagination_and_total_hits(built_index, oracle):
@@ -435,8 +525,10 @@ def test_resume_skips_spill_after_encode_crash(ray_session, monkeypatch,
     shutil.rmtree(idx, ignore_errors=True)
 
 
-def test_explain(built_index, salted_index, oracle):
+def test_explain(built_index, salted_index, oracle, monkeypatch):
     """explain() reports per-term stats and the chosen evaluation path."""
+    from open_source_search_engine_ray.query import kernel
+
     se = IndexSearcher(IDX)
     e = se.explain(SearchRequest("w0042 w0777"))
     assert e["n_docs"] == N_CONV and len(e["terms"]) >= 2
@@ -447,22 +539,32 @@ def test_explain(built_index, salted_index, oracle):
     assert se.explain(SearchRequest("(w0042 OR w0777)"))["eval_path"] == \
         "boolean-tree"
     # the plan explain reports is the plan the kernel runs: the unsplit
-    # list carries stored block maxima, so a one-term query walks them;
-    # split across salts (and below BLOCK_MAX_MIN_DF) it has none and
-    # the same query is scored exactly — with the same results
+    # list carries stored block maxima, but below BLOCK_MAX_MIN_DF the
+    # block-max walk costs more than exact scoring, so a one-term query
+    # is scored exactly; at or above the floor (lowered here to the
+    # list's df) it walks the block maxima; split across salts it has
+    # none and is scored exactly — with the same results every time
+    d2, s2 = oracle.search("w0002", 10)
+    e = se.explain(SearchRequest("w0002"))
+    df = e["terms"][0]["df"]
+    assert df < kernel.BLOCK_MAX_MIN_DF
+    assert (e["plan"], e["eval_path"]) == ("exact", "exact")
+    d1, s1 = se.search("w0002", 10)
+    assert list(d1) == list(d2) and list(s1) == list(s2)
+    monkeypatch.setattr(kernel, "BLOCK_MAX_MIN_DF", df)
     e = se.explain(SearchRequest("w0002"))
     assert (e["plan"], e["eval_path"]) == ("blockmax-single",
                                            "block-max single-term")
+    d1, s1 = se.search("w0002", 10)
+    assert list(d1) == list(d2) and list(s1) == list(s2)
     assert se.explain(SearchRequest("role:user w0002"))[
         "eval_path"].startswith("exact")
     salted = IndexSearcher(salted_index)
     e = salted.explain(SearchRequest("w0002"))
     assert e["terms"][0]["term_id"] in load_meta(salted_index)["hot_terms"]
     assert (e["plan"], e["eval_path"]) == ("exact", "exact")
-    d2, s2 = oracle.search("w0002", 10)
-    for searcher in (se, salted):
-        d1, s1 = searcher.search("w0002", 10)
-        assert list(d1) == list(d2) and list(s1) == list(s2)
+    d1, s1 = salted.search("w0002", 10)
+    assert list(d1) == list(d2) and list(s1) == list(s2)
 
 
 def test_build_without_free_cpus_fails_loudly(ray_session, monkeypatch):

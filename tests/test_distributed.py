@@ -12,6 +12,22 @@ IDX = "/tmp/osse_test_idx"  # built by test_build_query's module fixture
 MG_IDX = "/tmp/osse_test_idx_fanout_mg"
 
 
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_actors(assert_cpus_released):
+    """Torn down after every other fixture of this module: the shard
+    servers must have released their CPUs, or the next build waits for
+    them."""
+    yield
+    assert_cpus_released("the distributed tests")
+
+
+def _stop(dist: DistributedSearcher) -> None:
+    import ray
+
+    for server in dist._servers:
+        ray.kill(server)
+
+
 @pytest.fixture(scope="module")
 def multi_gen(ray_session):
     """Three generations with tombstones in the first two: the fan-out
@@ -63,7 +79,9 @@ def both(ray_session, multi_gen):
         shutil.rmtree(IDX, ignore_errors=True)
         build_index(lambda: transcripts_dataset(300), IDX,
                     input_token="synthetic:n=300")
-    return IndexSearcher(IDX), DistributedSearcher(IDX, n_servers=3)
+    dist = DistributedSearcher(IDX, n_servers=3)
+    yield IndexSearcher(IDX), dist
+    _stop(dist)
 
 
 def test_distributed_equals_local(both):
@@ -142,14 +160,25 @@ def test_fanout_run_equals_local_across_modes(multi_gen, monkeypatch):
     page+total, cursor, restricted, facet, sortby and budgeted requests
     over generations and tombstones — and the merged lists match field by
     field, block maxima included (recomputed: the threshold is lowered so
-    this small index reaches it)."""
+    this small index reaches it, for the recompute and for the
+    block-max plan alike)."""
+    from open_source_search_engine_ray.query import engine, kernel
+
+    monkeypatch.setattr(engine, "BLOCK_MAX_MIN_DF", 16)
+    monkeypatch.setattr(kernel, "BLOCK_MAX_MIN_DF", 16)
+    local = IndexSearcher(MG_IDX)
+    dist = DistributedSearcher(MG_IDX, n_servers=3)
+    try:
+        _compare_fanout(local, dist)
+    finally:
+        _stop(dist)
+
+
+def _compare_fanout(local, dist):
     import numpy as np
 
     from open_source_search_engine_ray.query import engine
 
-    monkeypatch.setattr(engine, "BLOCK_MAX_MIN_DF", 16)
-    local = IndexSearcher(MG_IDX)
-    dist = DistributedSearcher(MG_IDX, n_servers=3)
     n_block_max = 0
     for qid, q, _k in query_set():
         for req in _requests(local, q):
