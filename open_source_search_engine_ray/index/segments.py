@@ -12,15 +12,27 @@ prefix-compressed termlists (``Posdb.h:230-235``, ``RdbList.h:13-47``)
 with no hand-written codec.  The block-max column replaces
 per-candidate upper-bound scans (``PosdbTable.cpp:4102-4264``).
 
-Rows are sorted by term_id and written with small row groups, so the query
-side prunes to the row groups containing the requested terms (the RdbMap
-16KB page-index analogue, ``RdbMap.h:1-50``) and reads only the columns it
-scores.
+Rows are sorted by term_id.  A reader keeps the file's term dictionary
+resident — the sorted ``term_id`` column and each row group's first row,
+read once at open — the per-file key index of the reference (``RdbMap``,
+``RdbMap.h:1-50``; ``RdbIndex``, ``RdbIndex.h:21-60``).  A term lookup is
+then a binary search: a term the file lacks costs no I/O, and a term it
+holds costs one read of its row group, of only the columns the query
+scores, sliced to the term's row.
+
+Files are immutable once written, so readers are shared: every searcher
+in a process that opens the same file (same path, inode, size and
+mtime) gets the same reader (:func:`open_segment`).  The registry holds
+readers weakly, so a reader lives exactly as long as some searcher
+holds it, and a reopen after an add keeps the readers of the
+generations the add did not touch.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+import weakref
 
 import numpy as np
 import pyarrow as pa
@@ -49,9 +61,11 @@ SEGMENT_SCHEMA = pa.schema([
     ("block_max", pa.large_list(pa.float32())),
 ])
 
-# what the query path reads; compaction reads the whole table
+# what the query path reads; compaction reads the whole table.  A read
+# takes term_id from the reader's resident dictionary, not the file
 QUERY_COLUMNS = ["term_id", "doc_ids", "dl", "tfs", "block_max"]
 POSITION_COLUMNS = ["pos_counts", "pos_deltas"]
+_EMPTY = SEGMENT_SCHEMA.empty_table()
 _DELTA_COLUMNS = ["doc_ids", "tfs", "pos_counts", "pos_deltas"]
 
 
@@ -252,8 +266,9 @@ def write_segment(table: pa.Table, path: str) -> None:
 
 
 class SegmentReader:
-    """Reads term rows from a shard's segment file with row-group pruning
-    (the searcher keeps one reader, and so one footer, per file)."""
+    """Reads term rows from one segment file through its resident term
+    dictionary (the searcher keeps one reader, and so one footer and one
+    dictionary, per file; :func:`open_segment` shares them)."""
 
     def __init__(self, path: str):
         self.path = path
@@ -266,38 +281,84 @@ class SegmentReader:
                 f"segment {path} has {found}; this engine reads "
                 f"format_version {IndexConfig.format_version} list columns "
                 f"— rebuild the index with build_index")
-        self._rg_min: np.ndarray | None = None
-        self._rg_max: np.ndarray | None = None
-        self._load_rg_stats()
-
-    def _load_rg_stats(self):
-        mins, maxs = [], []
+        # a plain numpy copy: the Arrow read buffers are dropped at once
+        self._terms = np.array(self._pf.read(
+            columns=["term_id"], use_threads=False)["term_id"].to_numpy(),
+            dtype=np.uint64)
+        if np.any(self._terms[1:] <= self._terms[:-1]):
+            raise ValueError(f"segment {path} is not sorted by unique "
+                             "term_id")
         md = self._pf.metadata
-        for rg in range(md.num_row_groups):
-            col = md.row_group(rg).column(0)
-            st = col.statistics
-            mins.append(st.min if st else 0)
-            maxs.append(st.max if st else 2**64 - 1)
-        self._rg_min = np.asarray(mins, dtype=np.uint64)
-        self._rg_max = np.asarray(maxs, dtype=np.uint64)
+        sizes = [md.row_group(rg).num_rows for rg in range(md.num_row_groups)]
+        # first row of every row group, then the row count
+        self._rg_start = np.concatenate([[0], np.cumsum(sizes)]).astype(
+            np.int64)
+
+    def __contains__(self, term_id: int) -> bool:
+        t = np.uint64(term_id)
+        i = int(np.searchsorted(self._terms, t))
+        return i < len(self._terms) and self._terms[i] == t
 
     def read_terms(self, term_ids: list[int],
                    with_positions: bool = True) -> pa.Table:
-        """Rows of ``term_ids``, with only the columns a query scores (and
-        the position columns when ``with_positions``)."""
-        want = np.asarray(sorted(set(term_ids)), dtype=np.uint64)
-        rgs = [rg for rg in range(len(self._rg_min))
-               if ((want >= self._rg_min[rg]) & (want <= self._rg_max[rg])).any()]
+        """Rows of ``term_ids`` in term order, with only the columns a
+        query scores (and the position columns when ``with_positions``).
+        Terms the file lacks cost no I/O; the rest cost one read of the
+        row groups holding them."""
         cols = QUERY_COLUMNS + (POSITION_COLUMNS if with_positions else [])
-        if not rgs:
-            return SEGMENT_SCHEMA.empty_table().select(cols)
-        tbl = self._pf.read_row_groups(rgs, columns=cols, use_threads=False)
-        mask = pc.is_in(tbl["term_id"], value_set=pa.array(want, pa.uint64()))
-        return tbl.filter(mask)
+        want = np.unique(np.asarray(term_ids, dtype=np.uint64))
+        lo = np.searchsorted(self._terms, want, side="left")
+        rows = lo[np.searchsorted(self._terms, want, side="right") > lo]
+        if len(rows) == 0:
+            return _EMPTY.select(cols)
+        # the row groups to read, and each row's index in the read: its
+        # offset in its row group plus the rows of the groups before it
+        rgs, which = np.unique(
+            np.searchsorted(self._rg_start, rows, side="right") - 1,
+            return_inverse=True)
+        sizes = self._rg_start[rgs + 1] - self._rg_start[rgs]
+        local = (rows - self._rg_start[rgs][which]
+                 + (np.cumsum(sizes) - sizes)[which])
+        tbl = self._pf.read_row_groups(rgs.tolist(), columns=cols[1:],
+                                       use_threads=False)
+        if local[-1] - local[0] + 1 == len(local):
+            tbl = tbl.slice(int(local[0]), len(local))
+        else:
+            tbl = tbl.take(pa.array(local))
+        return tbl.add_column(0, "term_id", pa.array(self._terms[rows]))
 
     def read_table(self) -> pa.Table:
         """Every row and column (compaction)."""
         return self._pf.read()
+
+
+# live readers by file identity; weak, so a reader lives exactly as long
+# as some searcher holds it
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_OPENING = threading.Lock()
+
+
+def _identity(path: str, st: os.stat_result) -> tuple:
+    return (os.path.abspath(path), st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def live_reader(path: str, st: os.stat_result) -> SegmentReader | None:
+    """The reader some searcher already holds of the file ``st``
+    describes, or None."""
+    return _LIVE.get(_identity(path, st))
+
+
+def open_segment(path: str) -> SegmentReader:
+    """The shared reader of the file at ``path``: the live one when a
+    searcher holds it, else a new one, registered for the next.  A file
+    rewritten in place has another identity, so it is never served a
+    reader of its predecessor."""
+    key = _identity(path, os.stat(path))
+    with _OPENING:      # one reader per file, whichever thread asks first
+        rd = _LIVE.get(key)
+        if rd is None:
+            rd = _LIVE[key] = SegmentReader(path)
+    return rd
 
 
 def _list_values(tbl: pa.Table, name: str) -> np.ndarray:

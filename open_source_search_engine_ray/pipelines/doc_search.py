@@ -272,8 +272,6 @@ def doc_sortby_dl(sf_dir: str):
     (OR semantics) with token count in [SORTBY_MIN_DL, SORTBY_MAX_DL],
     top-SORTBY_K by (dl desc, doc_id asc) — attribute order, not
     relevance.  Fully SQL-replicable."""
-    import ray.data
-
     terms = set(tokenize_simple(DOC_QUERIES[1][1]))
 
     def match(b: pa.Table) -> pa.Table:
@@ -285,8 +283,13 @@ def doc_sortby_dl(sf_dir: str):
                     terms.intersection(toks):
                 ids.append(int(d))
                 dls.append(n)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "dl": pa.array(dls, pa.int64())})
+        ids = np.asarray(ids, dtype=np.int64)
+        dls = np.asarray(dls, dtype=np.int64)
+        # the batch's own top-K: (dl desc, doc_id asc) is a total order,
+        # so the global top-K is among the batches' top-Ks and the driver
+        # collects at most K rows per batch
+        top = np.lexsort((ids, -dls))[:SORTBY_K]
+        return pa.table({"doc_id": ids[top], "dl": dls[top]})
 
     def topk(df):
         df = df.sort_values(["dl", "doc_id"],
@@ -296,7 +299,6 @@ def doc_sortby_dl(sf_dir: str):
         return df
 
     ds = _read_docs(sf_dir).map_batches(match, batch_format="pyarrow")
-    # global top-k of a map-side-filtered set: tiny — one driver sort
     df = ds.to_pandas()
     if "doc_id" not in df.columns:
         df = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),

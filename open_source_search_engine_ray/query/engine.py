@@ -20,7 +20,7 @@ getDocIds2``/``controlLoop`` shape of the reference (``Msg39.h:23-90``,
 
 It is used three ways: driver-side single-query latency (bench p50);
 inside a Ray actor pool for batch evaluation
-(``queries_ds.map_batches(QueryEvalStage, concurrency=N)`` — the
+(:func:`evaluate_queries_distributed` over ``QueryEvalStage`` actors — the
 ``Msg39``/``Msg3a`` fan-out analogue for a term-partitioned index); and by
 tests comparing against the oracle.
 """
@@ -39,7 +39,8 @@ from ..index.build import hot_shards, load_meta
 from ..index.manifest import segment_path
 from ..index.merge import (gen_dir, merge_postings, read_generations,
                            read_tombstones)
-from ..index.segments import SegmentReader, decode_posting_row
+from ..index.segments import (SegmentReader, decode_posting_row,
+                               live_reader, open_segment)
 from .cache import MISSING, LruBytesCache, approx_nbytes
 from .kernel import (BLOCK_MAX_MIN_DF, TermPostings, candidate_docs,
                      evaluate, evaluate_after, evaluate_rerank, select_plan)
@@ -265,25 +266,42 @@ def parallel_evaluate(pq_: ParsedQuery,
 
 
 class _GenIndex:
-    """Readers + hot map for one generation directory."""
+    """Readers + hot map for one generation directory.
+
+    Construction lists the generation's segment directory once and, per
+    file, does one stat and one registry lookup: a file some live
+    searcher has open is adopted with its reader (so a reopen after an
+    add opens only the new generation's files), and the rest are opened
+    on first use.  A term is read only from the files whose dictionary
+    holds it."""
 
     def __init__(self, gen: int, index_dir: str):
         self.gen = gen
-        self.dir = index_dir
         self.meta = load_meta(index_dir)
         self.p = int(self.meta["num_partitions"])
         self.s = int(self.meta["num_salts"])
         self.hot_terms = np.asarray(self.meta["hot_terms"], dtype=np.uint64)
-        self._readers: dict[int, SegmentReader | None] = {}
+        self._readers: dict[int, SegmentReader] = {}
+        self._unopened: dict[int, str] = {}
+        seg_dir = os.path.dirname(segment_path(index_dir, 0))
+        files = os.scandir(seg_dir) if os.path.isdir(seg_dir) else ()
+        for f in files:
+            if not (f.name.startswith("part-")
+                    and f.name.endswith(".parquet")):
+                continue     # e.g. a writer's temporary file
+            shard = int(f.name[len("part-"):-len(".parquet")])
+            rd = live_reader(f.path, f.stat())
+            if rd is not None:
+                self._readers[shard] = rd
+            else:
+                self._unopened[shard] = f.path
 
     def _reader(self, shard: int) -> SegmentReader | None:
-        r = self._readers.get(shard, False)
-        if r is not False:
-            return r
-        path = segment_path(self.dir, shard, 0)
-        r = SegmentReader(path) if os.path.exists(path) else None
-        self._readers[shard] = r
-        return r
+        rd = self._readers.get(shard)
+        if rd is None and shard in self._unopened:
+            rd = self._readers[shard] = open_segment(
+                self._unopened.pop(shard))
+        return rd
 
     def shards_for_term(self, term_id: int) -> list[int]:
         t = np.uint64(term_id)
@@ -312,7 +330,7 @@ class _GenIndex:
         for shard in self.shards_for_term(term_id):
             rd = (self._reader(shard) if owned is None or shard in owned
                   else None)
-            if rd is None:
+            if rd is None or term_id not in rd:
                 continue
             tbl = rd.read_terms([term_id], with_positions=with_positions)
             decoded.extend(decode_posting_row(tbl.slice(i, 1), with_positions)
@@ -321,7 +339,9 @@ class _GenIndex:
 
 
 def open_generations(index_dir: str) -> list[_GenIndex]:
-    """Every generation of an index, oldest first."""
+    """Every generation of an index, oldest first.  Called while an older
+    searcher of the index is still alive (``se = IndexSearcher(idx)``),
+    it shares that searcher's readers of every unchanged file."""
     gens = read_generations(index_dir)["generations"]
     return [_GenIndex(g["gen"], gen_dir(index_dir, g["gen"]))
             for g in sorted(gens, key=lambda g: g["gen"])]
@@ -834,41 +854,56 @@ class IndexSearcher:
 
 
 class QueryEvalStage:
-    """Actor-pool callable: batch of queries → top-k rows per query."""
+    """Actor-pool callable: batch of ``(query_id, query, k)`` → top-k
+    rows per query."""
+
+    SCHEMA = pa.schema([("query_id", pa.string()), ("rank", pa.int64()),
+                        # 63-bit-safe
+                        ("doc_id", pa.int64()), ("score", pa.float64())])
 
     def __init__(self, index_dir: str):
         self.searcher = IndexSearcher(index_dir)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: list[tuple[str, str, int]]) -> pa.Table:
         out = {"query_id": [], "rank": [], "doc_id": [], "score": []}
-        for qid, q, k in zip(batch["query_id"].to_pylist(),
-                             batch["query"].to_pylist(),
-                             batch["k"].to_pylist()):
+        for qid, q, k in batch:
             docs, scores = self.searcher.search(q, int(k))
             n = len(docs)
-            out["query_id"].extend([qid] * n)
+            out["query_id"].extend([str(qid)] * n)
             out["rank"].extend(range(1, n + 1))
             out["doc_id"].extend(int(d) for d in docs)
             out["score"].extend(float(s) for s in scores)
-        return pa.table({
-            "query_id": pa.array(out["query_id"], pa.string()),
-            "rank": pa.array(out["rank"], pa.int64()),
-            "doc_id": pa.array(out["doc_id"], pa.int64()),  # 63-bit-safe
-            "score": pa.array(out["score"], pa.float64()),
-        })
+        return pa.table(out, schema=self.SCHEMA)
 
 
 def evaluate_queries_distributed(index_dir: str, queries: list[tuple[str, str, int]],
                                  concurrency: int = 4):
-    """Batch query evaluation as a Dataset pipeline (bench path)."""
-    import ray.data
+    """Batch query evaluation over a pool of ``QueryEvalStage`` actors →
+    a Dataset of (query_id, rank, doc_id, score) (bench path).
 
-    qds = ray.data.from_items(
-        [{"query_id": qid, "query": q, "k": k} for qid, q, k in queries])
-    # small batches so the actor pool load-balances: one skewed query
-    # (a stopword disjunction) must not serialize the whole pool behind
-    # one actor's single giant batch
-    return qds.map_batches(
-        QueryEvalStage, fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow", batch_size=2,
-        concurrency=concurrency)
+    It runs when called and kills its pool before it returns, so no
+    actor outlives the call.  (A Ray Data actor pool does outlive it:
+    the executed Dataset reaches its actor handles through reference
+    cycles, which hold one CPU per actor until a garbage collection.)"""
+    import ray.data
+    from ray.util import ActorPool
+
+    # small batches so the pool load-balances: one skewed query (a
+    # stopword disjunction) must not serialize the whole pool behind one
+    # actor's single giant batch
+    batches = [queries[i:i + 2] for i in range(0, len(queries), 2)]
+    if not batches:
+        return ray.data.from_arrow(QueryEvalStage.SCHEMA.empty_table())
+    # actors past the free CPUs would never start, and a pool waits for
+    # every actor it hands a batch to
+    free = int(ray.available_resources().get("CPU", 0))
+    n = max(1, min(concurrency, len(batches), free))
+    stage = ray.remote(num_cpus=1)(QueryEvalStage)
+    actors = [stage.remote(index_dir) for _ in range(n)]
+    try:
+        parts = list(ActorPool(actors).map(
+            lambda actor, b: actor.__call__.remote(b), batches))
+    finally:
+        for actor in actors:
+            ray.kill(actor)
+    return ray.data.from_arrow(pa.concat_tables(parts))

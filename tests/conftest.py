@@ -52,3 +52,23 @@ def assert_cpus_released(ray_session):
         assert free >= total, (f"{total - free:g} of {total:g} CPUs still "
                                f"held after {after}")
     return check
+
+
+TEST_INDEX = "/tmp/osse_test_idx"
+
+
+@pytest.fixture(scope="session")
+def test_index(ray_session):
+    """The default build of 300 synthetic conversations at
+    ``TEST_INDEX``, built fresh once per session whichever module asks
+    first (an index a previous run left there may be of another format
+    or layout) → its meta."""
+    import shutil
+
+    from open_source_search_engine_ray.index.build import build_index
+    from open_source_search_engine_ray.sources.transcripts import (
+        transcripts_dataset)
+
+    shutil.rmtree(TEST_INDEX, ignore_errors=True)
+    return build_index(lambda: transcripts_dataset(300), TEST_INDEX,
+                       input_token="synthetic:n=300")

@@ -19,16 +19,9 @@ from open_source_search_engine_ray.sources.queryset import query_set
 from open_source_search_engine_ray.sources.transcripts import (
     transcripts_dataset, transcripts_table)
 
+from conftest import TEST_INDEX as IDX
+
 N_CONV = 300
-IDX = "/tmp/osse_test_idx"
-
-
-@pytest.fixture(scope="module")
-def built_index(ray_session):
-    shutil.rmtree(IDX, ignore_errors=True)
-    meta = build_index(lambda: transcripts_dataset(N_CONV), IDX,
-                       input_token=f"synthetic:n={N_CONV}")
-    return meta
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +45,13 @@ def salted_index(ray_session):
     shutil.rmtree(idx, ignore_errors=True)
 
 
-def test_build_meta(built_index):
-    assert built_index["n_docs"] == N_CONV
-    assert built_index["n_postings"] > 0
-    assert built_index["avgdl"] > 0
+def test_build_meta(test_index):
+    assert test_index["n_docs"] == N_CONV
+    assert test_index["n_postings"] > 0
+    assert test_index["avgdl"] > 0
 
 
-def test_per_turn_text_equality(built_index):
+def test_per_turn_text_equality(test_index):
     """Doc store read back + stable (conv_id, turn_idx) sort == input."""
     store = pads.dataset(os.path.join(IDX, "docstore"),
                          format="parquet").to_table()
@@ -70,7 +63,7 @@ def test_per_turn_text_equality(built_index):
         assert store[col].to_pylist() == inp[col].to_pylist(), col
 
 
-def test_rank_identity(built_index, oracle):
+def test_rank_identity(test_index, oracle):
     se = IndexSearcher(IDX)
     n_nonempty = 0
     for qid, q, k in query_set():
@@ -82,7 +75,7 @@ def test_rank_identity(built_index, oracle):
     assert n_nonempty >= 8  # the query set actually exercises the corpus
 
 
-def test_cached_lists_own_their_memory(built_index):
+def test_cached_lists_own_their_memory(test_index):
     """Decode returns views of the segment read's Arrow buffers; a cached
     list must copy them, or it pins buffers the cache budget never
     counts."""
@@ -106,7 +99,7 @@ def test_cached_lists_own_their_memory(built_index):
     assert n_block_max > 0
 
 
-def test_field_weight_signal(built_index, oracle):
+def test_field_weight_signal(test_index, oracle):
     """Marker terms planted per-role must hit, and the role filter must
     restrict to docs whose hits are in that field."""
     se = IndexSearcher(IDX)
@@ -116,7 +109,7 @@ def test_field_weight_signal(built_index, oracle):
     assert len(d2) == 0  # marker never appears in system turns
 
 
-def test_determinism_across_parallelism(built_index, ray_session):
+def test_determinism_across_parallelism(test_index, ray_session):
     """FIXTURES §4.3: different block counts → identical index contents."""
     idx2 = IDX + "_p2"
     shutil.rmtree(idx2, ignore_errors=True)
@@ -142,9 +135,9 @@ def test_determinism_across_parallelism(built_index, ray_session):
     shutil.rmtree(idx2, ignore_errors=True)
 
 
-def test_salting_transparency(built_index, salted_index, oracle):
+def test_salting_transparency(test_index, salted_index, oracle):
     """FIXTURES §4.4: hot-term salting on vs off → identical results."""
-    assert built_index["hot_terms"] == []   # below the floor: unsalted
+    assert test_index["hot_terms"] == []   # below the floor: unsalted
     plain, salted = IndexSearcher(IDX), IndexSearcher(salted_index)
     for qid, q, k in query_set():
         d1, s1 = salted.search(q, k)
@@ -154,7 +147,7 @@ def test_salting_transparency(built_index, salted_index, oracle):
         assert list(s1) == list(s2) == list(s3), qid
 
 
-def test_resume_after_partial_build(built_index, oracle, ray_session):
+def test_resume_after_partial_build(test_index, oracle, ray_session):
     """FIXTURES §4.5: delete some shards' segments+manifests, resume, and
     results must equal a fresh build."""
     idx4 = IDX + "_resume"
@@ -179,18 +172,17 @@ def test_resume_after_partial_build(built_index, oracle, ray_session):
     shutil.rmtree(idx4, ignore_errors=True)
 
 
-def test_distributed_batch_eval(built_index, ray_session,
+def test_distributed_batch_eval(test_index, ray_session,
                                 assert_cpus_released):
-    import gc
-
     from open_source_search_engine_ray.query.engine import (
         evaluate_queries_distributed)
-    res = evaluate_queries_distributed(IDX, query_set(), concurrency=2)
-    df = res.to_pandas()
-    # the executed Dataset holds its actor pool (one CPU) in a reference
-    # cycle: drop it and collect, or the pool outlives the test
-    del res
-    gc.collect()
+
+    def run():
+        return evaluate_queries_distributed(IDX, query_set(),
+                                            concurrency=2).to_pandas()
+
+    df = run()
+    # the pool is gone when the call returns: no collection needed
     assert_cpus_released("evaluate_queries_distributed")
     se = IndexSearcher(IDX)
     for qid, q, k in query_set():
@@ -252,7 +244,7 @@ def test_positions_cap_contract(ray_session):
     shutil.rmtree(idx, ignore_errors=True)
 
 
-def test_field_weight_override(built_index, oracle):
+def test_field_weight_override(test_index, oracle):
     """Per-query field-weight override (&hgw_* parm analogue): engine and
     oracle agree, and boosting the assistant field reorders results."""
     se = IndexSearcher(IDX)
@@ -440,7 +432,7 @@ def test_old_layout_fails_loudly(salted_index, tmp_path):
         compact_merge(idx)
 
 
-def test_pagination_and_total_hits(built_index, oracle):
+def test_pagination_and_total_hits(test_index, oracle):
     """offset paging: page 2 equals rows 11-20 of a k=20 search (identical
     under pruning — engine prunes, oracle doesn't), and with_total returns
     the exact candidate count (Msg39 total-hits analogue)."""
@@ -457,7 +449,7 @@ def test_pagination_and_total_hits(built_index, oracle):
         assert tot == len(dall), q  # total == number of all matches
 
 
-def test_default_synonym_table(built_index, oracle):
+def test_default_synonym_table(test_index, oracle):
     """The shipped synonym/variation table (functions/synonyms.py — the
     STO/WordVariations stand-in): number variants per the reference's own
     expansion test ('the one' → the, one, 1), possessive strip, engine ==
@@ -525,7 +517,7 @@ def test_resume_skips_spill_after_encode_crash(ray_session, monkeypatch,
     shutil.rmtree(idx, ignore_errors=True)
 
 
-def test_explain(built_index, salted_index, oracle, monkeypatch):
+def test_explain(test_index, salted_index, oracle, monkeypatch):
     """explain() reports per-term stats and the chosen evaluation path."""
     from open_source_search_engine_ray.query import kernel
 

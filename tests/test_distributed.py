@@ -8,7 +8,8 @@ from open_source_search_engine_ray.query.distributed import (
 from open_source_search_engine_ray.query.engine import IndexSearcher
 from open_source_search_engine_ray.sources.queryset import query_set
 
-IDX = "/tmp/osse_test_idx"  # built by test_build_query's module fixture
+from conftest import TEST_INDEX as IDX
+
 MG_IDX = "/tmp/osse_test_idx_fanout_mg"
 
 
@@ -67,18 +68,9 @@ def multi_gen(ray_session):
 
 
 @pytest.fixture(scope="module")
-def both(ray_session, multi_gen):
-    # multi_gen builds first: a build cannot get the CPUs that live
-    # shard servers hold
-    import os
-    if not os.path.exists(f"{IDX}/index_meta.json"):
-        import shutil
-        from open_source_search_engine_ray.index.build import build_index
-        from open_source_search_engine_ray.sources.transcripts import (
-            transcripts_dataset)
-        shutil.rmtree(IDX, ignore_errors=True)
-        build_index(lambda: transcripts_dataset(300), IDX,
-                    input_token="synthetic:n=300")
+def both(multi_gen, test_index):
+    # both indexes are built before the shard servers start: a build
+    # cannot get the CPUs that live shard servers hold
     dist = DistributedSearcher(IDX, n_servers=3)
     yield IndexSearcher(IDX), dist
     _stop(dist)

@@ -170,3 +170,98 @@ def test_old_segment_format_fails_loudly(tmp_path):
     pq.write_table(v2.empty_table(), path)
     with pytest.raises(ValueError, match="format_version 2.*rebuild"):
         SegmentReader(path)
+
+
+def test_term_addressed_reads_equal_full_filter(tmp_path):
+    """``read_terms`` finds rows through the reader's resident term
+    dictionary and reads only their row groups: it returns exactly the
+    rows a filter over the whole table keeps, for terms at row-group
+    edges, below the min, above the max, in a gap, duplicated, unsorted
+    and spread over row groups; a term the file lacks costs no read."""
+    import pyarrow.compute as pc
+
+    from open_source_search_engine_ray.config import IndexConfig
+    from open_source_search_engine_ray.index.segments import (
+        POSITION_COLUMNS, QUERY_COLUMNS, SegmentReader, encode_shard,
+        write_segment)
+
+    tbl = _synthetic_postings(np.random.default_rng(5))
+    # term ids 5 + 7919·i: one below the min, gaps between terms
+    tbl = tbl.set_column(0, "term_id", pc.add(tbl["term_id"], 5))
+    path = str(tmp_path / "seg.parquet")
+    write_segment(encode_shard(tbl, IndexConfig(), 0, 100.0), path)
+    md = pq.ParquetFile(path).metadata
+    assert md.num_row_groups >= 3
+    rd = SegmentReader(path)
+    full = rd.read_table()
+    terms = full["term_id"].to_numpy()
+    edges = [int(terms[i]) for i in (0, 511, 512, 1023, 1024, -1)]
+    lo, hi = int(terms.min()), int(terms.max())
+    gap = int(terms[100]) + 1
+    reads = []
+    real = rd._pf.read_row_groups
+
+    def counted(rgs, **kw):
+        reads.append(list(rgs))
+        return real(rgs, **kw)
+
+    rd._pf.read_row_groups = counted
+    requests = [[t] for t in edges] + [
+        [lo - 1], [hi + 1], [gap], [0],
+        [lo - 1, hi + 1, gap],                       # all absent
+        [edges[3], edges[0], edges[3], edges[1]],    # unsorted, repeated
+        [edges[1], edges[2]],                        # adjacent rows, 2 groups
+        [int(terms[3]), int(terms[600]), int(terms[1100]), gap, hi + 1],
+        [int(t) for t in terms[::7]] + [int(t) for t in terms[::7]],
+    ]
+    for want in requests:
+        for with_positions in (False, True):
+            cols = QUERY_COLUMNS + (POSITION_COLUMNS if with_positions
+                                    else [])
+            n_reads = len(reads)
+            got = rd.read_terms(want, with_positions=with_positions)
+            exp = full.select(cols).filter(pc.is_in(
+                full["term_id"], value_set=pa.array(want, pa.uint64())))
+            assert got.column_names == cols
+            assert got.equals(exp), want
+            present = [t for t in want if t in rd]
+            assert sorted(set(present)) == \
+                exp["term_id"].to_pylist(), want
+            # absent terms are never read; present ones in one call
+            assert len(reads) - n_reads == (1 if present else 0), want
+            if len(set(present)) == 1:
+                assert len(reads[-1]) == 1   # just the term's row group
+
+
+def test_open_segment_one_reader_per_file(tmp_path):
+    """Threads opening the same file at once share one reader: the
+    registry's check-then-open is atomic."""
+    import sys
+    import threading
+
+    from open_source_search_engine_ray.config import IndexConfig
+    from open_source_search_engine_ray.index.segments import (
+        encode_shard, open_segment, write_segment)
+
+    path = str(tmp_path / "seg.parquet")
+    write_segment(encode_shard(_synthetic_postings(
+        np.random.default_rng(3), n_terms=50, n=400), IndexConfig(), 0,
+        100.0), path)
+    got, start = [], threading.Barrier(8)
+
+    def worker():
+        start.wait(timeout=30)
+        got.append(open_segment(path))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(rd is got[0] for rd in got)

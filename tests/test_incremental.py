@@ -2,6 +2,7 @@
 appends, tombstone deletes, revivals and compaction scores exactly like a
 fresh build / oracle over the live corpus."""
 
+import os
 import shutil
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from open_source_search_engine_ray.functions.ghash import doc_ids_for_convs
 from open_source_search_engine_ray.index.build import build_index
 from open_source_search_engine_ray.index.merge import (
-    add_documents, compact, delete_convs, read_generations)
+    add_documents, compact, compact_merge, delete_convs, read_generations)
 from open_source_search_engine_ray.query.engine import IndexSearcher
 from open_source_search_engine_ray.query.oracle import OracleIndex
 from open_source_search_engine_ray.sources.queryset import query_set
@@ -275,3 +276,134 @@ def test_delete_by_query_then_revive(ray_session):
         d2, s2 = oracle2.search(q, k)
         assert list(d1) == list(d2) and list(s1) == list(s2), (qid, q)
     shutil.rmtree(idx7, ignore_errors=True)
+
+
+def _readers(se) -> dict:
+    """Every segment reader of a searcher, opened, by (gen, shard)."""
+    out = {}
+    for g in se._gens:
+        for shard in list(g._unopened):
+            g._reader(shard)
+        out.update({(g.gen, shard): rd for shard, rd in g._readers.items()})
+    return out
+
+
+def _assert_oracle(se, live: list[int]) -> None:
+    oracle = OracleIndex(generate_conv_rows(np.asarray(live)))
+    assert se.n_docs == oracle.n_docs and se.avgdl == oracle.avgdl
+    for qid, q, k in query_set():
+        d1, s1 = se.search(q, k)
+        d2, s2 = oracle.search(q, k)
+        assert list(d1) == list(d2) and list(s1) == list(s2), (qid, q)
+
+
+def test_reopen_shares_unchanged_readers(ray_session, monkeypatch):
+    """``se = IndexSearcher(idx)`` after a write — the new searcher is
+    constructed while the old one is alive, which dies when the name is
+    rebound — keeps (``is``) the readers of every unchanged file: after
+    an add it constructs readers only for the new generation's files,
+    after a delete none, and after compact_merge (same paths, new files)
+    it keeps none.  Each reopen scores like the oracle over the live
+    corpus."""
+    import weakref
+
+    from open_source_search_engine_ray.index import segments
+
+    idx = IDX + "_reopen"
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(lambda: transcripts_dataset(80), idx,
+                input_token="reopen:base")
+    opened = []
+    init = segments.SegmentReader.__init__
+
+    def counted(self, path):
+        opened.append(os.path.abspath(path))
+        init(self, path)
+
+    monkeypatch.setattr(segments.SegmentReader, "__init__", counted)
+    state = {}
+
+    def reopen(live):
+        """Reopen as a serving loop does → the (gen, shard) keys of the old
+        searcher's readers kept (``is``), the files opened, and the new
+        searcher's file paths by key."""
+        opened.clear()
+        se = IndexSearcher(idx)
+        state.pop("se", None)          # the rebinding drops the old one
+        old = state.pop("refs", {})
+        cur = _readers(se)
+        kept = sorted(key for key, ref in old.items()
+                      if key in cur and cur[key] is ref())
+        _assert_oracle(se, live)
+        state.update(se=se, refs={key: weakref.ref(rd)
+                                  for key, rd in cur.items()})
+        return kept, sorted(opened), {key: os.path.abspath(rd.path)
+                                      for key, rd in cur.items()}
+
+    live = list(range(80))
+    kept, files, cur = reopen(live)
+    assert kept == [] and files == sorted(cur.values()) != []
+
+    add_documents(idx, lambda: transcripts_dataset_range(80, 110),
+                  input_token="reopen:g1")
+    live += list(range(80, 110))
+    kept, files, cur = reopen(live)
+    assert kept == sorted(key for key in cur if key[0] == 0)
+    assert files == sorted(p for key, p in cur.items() if key[0] == 1) != []
+
+    dead = (3, 50, 95)
+    delete_convs(idx, [f"conv-{i:08d}" for i in dead])
+    live = [i for i in live if i not in dead]
+    kept, files, cur = reopen(live)
+    assert kept == sorted(cur) and files == []
+
+    compact_merge(idx)
+    kept, files, cur = reopen(live)
+    assert kept == [] and files == sorted(cur.values()) != []
+    state.clear()
+    shutil.rmtree(idx, ignore_errors=True)
+
+
+def test_rebuilt_index_gets_fresh_readers(ray_session):
+    """An index rebuilt in place (rmtree + build_index at the same path)
+    while a searcher of the old one is alive is never served the old
+    files' readers."""
+    idx = IDX + "_rebuilt"
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(lambda: transcripts_dataset(60), idx,
+                input_token="rebuilt:a")
+    s1 = IndexSearcher(idx)
+    r1 = _readers(s1)
+    s1.search("w0042 the", 10)
+    shutil.rmtree(idx)
+    build_index(lambda: transcripts_dataset_range(60, 130), idx,
+                input_token="rebuilt:b")
+    s2 = IndexSearcher(idx)
+    r2 = _readers(s2)
+    old = {id(rd) for rd in r1.values()}
+    assert r2 and not any(id(rd) in old for rd in r2.values())
+    _assert_oracle(s2, list(range(60, 130)))
+    del s1, s2
+    shutil.rmtree(idx, ignore_errors=True)
+
+
+def test_no_reader_outlives_its_searchers(incr_index):
+    """Readers are shared, not cached: they live while some searcher
+    holds them and leave the registry with the last one (no garbage
+    collection needed)."""
+    import weakref
+
+    from open_source_search_engine_ray.index import segments
+
+    s1 = IndexSearcher(incr_index)
+    refs = {key: weakref.ref(rd) for key, rd in _readers(s1).items()}
+    s2 = IndexSearcher(incr_index)
+    assert all(rd is refs[key]() for key, rd in _readers(s2).items())
+    del s1
+    assert all(r() is not None for r in refs.values())
+    s2.search("w0042 the", 10)
+    del s2
+    assert all(r() is None for r in refs.values())
+    prefix = os.path.abspath(incr_index) + os.sep
+    assert not [key for key in segments._LIVE.keys()
+                if key[0].startswith(prefix)]

@@ -469,3 +469,27 @@ def test_minhash_anchor_vs_exact(entrymod):
         est = mh_keys.get((int(a), int(b)))
         if est is not None:
             assert abs(est - j) <= 0.25, (a, b, j, est)
+
+
+@pytest.mark.parametrize("n_blocks", [None, 32])
+def test_doc_sortby_dl_top_k_per_batch(ray_session, sf_correct, monkeypatch,
+                                       n_blocks):
+    """The sort-by-dl entry keeps each batch's top SORTBY_K before the
+    driver collect; the global top-K still equals its SQL oracle on
+    sf0.01, read as it is and split into 32 blocks (one batch each)."""
+    from open_source_search_engine_ray.pipelines import doc_search
+
+    sf = sf_correct
+    if n_blocks is not None:
+        read = doc_search._read_docs
+        monkeypatch.setattr(doc_search, "_read_docs",
+                            lambda d: read(d).repartition(n_blocks))
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf}/documents.parquet')")
+    want = con.execute(doc_search.doc_sortby_dl_sql()).fetchdf()
+    got = doc_search.doc_sortby_dl(sf)
+    assert len(want) == doc_search.SORTBY_K
+    assert got["rank"].tolist() == want["rank"].tolist()
+    assert got["doc_id"].tolist() == want["doc_id"].tolist()
+    assert got["dl"].tolist() == want["dl"].tolist()
