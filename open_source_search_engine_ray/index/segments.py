@@ -338,14 +338,16 @@ _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _OPENING = threading.Lock()
 
 
-def _identity(path: str, st: os.stat_result) -> tuple:
+def file_identity(path: str, st: os.stat_result) -> tuple:
+    """(absolute path, inode, size, mtime_ns): a file rewritten in place
+    gets another one."""
     return (os.path.abspath(path), st.st_ino, st.st_size, st.st_mtime_ns)
 
 
-def live_reader(path: str, st: os.stat_result) -> SegmentReader | None:
-    """The reader some searcher already holds of the file ``st``
-    describes, or None."""
-    return _LIVE.get(_identity(path, st))
+def live_reader(identity: tuple) -> SegmentReader | None:
+    """The reader some searcher already holds of the file with this
+    :func:`file_identity`, or None."""
+    return _LIVE.get(identity)
 
 
 def open_segment(path: str) -> SegmentReader:
@@ -353,7 +355,7 @@ def open_segment(path: str) -> SegmentReader:
     searcher holds it, else a new one, registered for the next.  A file
     rewritten in place has another identity, so it is never served a
     reader of its predecessor."""
-    key = _identity(path, os.stat(path))
+    key = file_identity(path, os.stat(path))
     with _OPENING:      # one reader per file, whichever thread asks first
         rd = _LIVE.get(key)
         if rd is None:

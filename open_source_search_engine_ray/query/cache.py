@@ -48,12 +48,21 @@ class LruBytesCache:
 
     ``get`` returns ``default`` on miss — ``None`` is a legitimate cached
     value (an absent term), so callers distinguish misses with the
-    :data:`MISSING` sentinel."""
+    :data:`MISSING` sentinel.  ``hits``/``misses`` count lookups (one per
+    ``get``/``lookup`` call), ``evictions`` the entries the budget
+    pushed out.
+
+    Entries carried over from another cache (:meth:`take_over`) share
+    the budget but are older than every entry put here, so they are
+    evicted first; lookups, ``len`` and ``in`` do not see them, and
+    :meth:`take` removes one for its caller to refresh and put back."""
 
     def __init__(self, max_bytes: int = 256 << 20):
         self._d: OrderedDict = OrderedDict()   # key -> (value, size)
-        self._bytes = 0
+        self._carried: OrderedDict = OrderedDict()
+        self._bytes = 0                        # of both maps
         self.max_bytes = int(max_bytes)
+        self.hits = self.misses = self.evictions = 0
 
     def __contains__(self, key) -> bool:
         return key in self._d
@@ -66,10 +75,38 @@ class LruBytesCache:
         return self._bytes
 
     def get(self, key, default=None):
-        ent = self._d.get(key)
+        return self.lookup((key,), default)
+
+    def lookup(self, keys, default=None):
+        """The value of the first of ``keys`` present (made most recent),
+        else ``default`` — one hit or one miss."""
+        for key in keys:
+            ent = self._d.get(key)
+            if ent is not None:
+                self.hits += 1
+                self._d.move_to_end(key)
+                return ent[0]
+        self.misses += 1
+        return default
+
+    def take_over(self, other: LruBytesCache) -> None:
+        """Carry ``other``'s entries (not those it carries itself) into
+        this empty cache: its most recent ones that fit the budget."""
+        # one copy in C, which another thread's put cannot interleave with
+        carried = OrderedDict(other._d)
+        nbytes = sum(size for _, size in carried.values())
+        while nbytes > self.max_bytes:
+            _, (_, size) = carried.popitem(last=False)
+            nbytes -= size
+        self._carried = carried
+        self._bytes += nbytes
+
+    def take(self, key, default=None):
+        """Remove the carried entry ``key`` → its value, or ``default``."""
+        ent = self._carried.pop(key, None)
         if ent is None:
             return default
-        self._d.move_to_end(key)
+        self._bytes -= ent[1]
         return ent[0]
 
     def put(self, key, value, size: int | None = None) -> None:
@@ -83,6 +120,8 @@ class LruBytesCache:
         self._d[key] = (value, size)
         self._bytes += size
         # keep at least the newest entry even if it alone busts the budget
-        while self._bytes > self.max_bytes and len(self._d) > 1:
-            _, (_, s) = self._d.popitem(last=False)
+        while self._bytes > self.max_bytes and (self._carried
+                                                or len(self._d) > 1):
+            _, (_, s) = (self._carried or self._d).popitem(last=False)
             self._bytes -= s
+            self.evictions += 1

@@ -11,6 +11,13 @@ and N/avgdl come from the refreshed live stats — so scores over an
 incrementally-maintained index are exactly those of a fresh build over the
 live corpus (asserted in tests/test_incremental.py).
 
+A reopen keeps what the write did not touch: the new searcher shares the
+readers of every unchanged file and takes over the merged lists of the
+searcher it replaces, merging each on first use with only the
+generations added since, under the current tombstones — the ``Msg5``
+cached list merged with the newer files (``Msg5.h:1-60``; see
+:class:`IndexSearcher`).
+
 Every query is one :class:`SearchRequest` run through one staged
 pipeline, :meth:`IndexSearcher.run` — parse → fetch → restrict → evaluate
 → post, the ``SearchInput::set`` → ``Msg39Request`` → ``Msg39::
@@ -28,7 +35,9 @@ tests comparing against the oracle.
 from __future__ import annotations
 
 import os
+import threading
 import time
+import weakref
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -40,7 +49,7 @@ from ..index.manifest import segment_path
 from ..index.merge import (gen_dir, merge_postings, read_generations,
                            read_tombstones)
 from ..index.segments import (SegmentReader, decode_posting_row,
-                               live_reader, open_segment)
+                               file_identity, live_reader, open_segment)
 from .cache import MISSING, LruBytesCache, approx_nbytes
 from .kernel import (BLOCK_MAX_MIN_DF, TermPostings, candidate_docs,
                      evaluate, evaluate_after, evaluate_rerank, select_plan)
@@ -272,8 +281,10 @@ class _GenIndex:
     file, does one stat and one registry lookup: a file some live
     searcher has open is adopted with its reader (so a reopen after an
     add opens only the new generation's files), and the rest are opened
-    on first use.  A term is read only from the files whose dictionary
-    holds it."""
+    on first use.  ``files`` keeps each file's identity from that stat:
+    a reopened searcher compares it to tell the generations it can carry
+    decoded lists over from.  A term is read only from the files whose
+    dictionary holds it."""
 
     def __init__(self, gen: int, index_dir: str):
         self.gen = gen
@@ -283,6 +294,7 @@ class _GenIndex:
         self.hot_terms = np.asarray(self.meta["hot_terms"], dtype=np.uint64)
         self._readers: dict[int, SegmentReader] = {}
         self._unopened: dict[int, str] = {}
+        self.files: dict[int, tuple] = {}
         seg_dir = os.path.dirname(segment_path(index_dir, 0))
         files = os.scandir(seg_dir) if os.path.isdir(seg_dir) else ()
         for f in files:
@@ -290,7 +302,8 @@ class _GenIndex:
                     and f.name.endswith(".parquet")):
                 continue     # e.g. a writer's temporary file
             shard = int(f.name[len("part-"):-len(".parquet")])
-            rd = live_reader(f.path, f.stat())
+            ident = self.files[shard] = file_identity(f.path, f.stat())
+            rd = live_reader(ident)
             if rd is not None:
                 self._readers[shard] = rd
             else:
@@ -555,7 +568,64 @@ def _sort_by_attr(req: SearchRequest, fids: np.ndarray, fvals: np.ndarray,
     return ids[order], vals[order]
 
 
+# the newest plain IndexSearcher of each index directory (absolute path);
+# weak, so no searcher is kept alive to donate its lists
+_NEWEST: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NEWEST_LOCK = threading.Lock()
+
+
+def _carry_gen(prev: IndexSearcher, cur: IndexSearcher) -> int | None:
+    """``prev``'s newest generation when its merged lists, entered into
+    :func:`merge_postings` as parts of that generation, merge exactly
+    into ``cur``'s lists; else None.  They do when ``prev``'s generations
+    are a prefix of ``cur``'s with the same files, no tombstone of
+    ``prev``'s is gone or lowered, and every new or raised one kills at
+    least that generation (``delete_docs`` always writes the newest), so
+    re-masking the list at that generation kills exactly the postings a
+    fresh merge would."""
+    old = [(g.gen, g.files) for g in prev._gens]
+    if [(g.gen, g.files) for g in cur._gens[:len(old)]] != old:
+        return None
+    newest = old[-1][0]
+    pdoc, pdead = prev.tomb_doc, prev.tomb_dead
+    cdoc, cdead = cur.tomb_doc, cur.tomb_dead
+    at = np.searchsorted(cdoc, pdoc)
+    if len(pdoc) and not (at[-1] < len(cdoc) and np.array_equal(cdoc[at], pdoc)
+                          and (cdead[at] >= pdead).all()):
+        return None
+    changed = np.ones(len(cdoc), dtype=bool)
+    changed[at] = cdead[at] != pdead
+    return newest if (cdead[changed] >= newest).all() else None
+
+
+def _as_part(tp: TermPostings, with_positions: bool) -> dict:
+    """A merged list as one :func:`merge_postings` part, without its block
+    maxima (they hold for the avgdl it was scored with)."""
+    part = {"doc_ids": tp.doc_ids, "tfs": tp.tfs, "dl": tp.dl,
+            "block_max": None}
+    if with_positions:
+        part["positions"] = tp.positions
+    return part
+
+
 class IndexSearcher:
+    """Search over every generation of an index, with a byte-bounded
+    cache of merged lists (``cache_bytes``).
+
+    Carried lists — the ``Msg5`` cached list merged with only the files
+    it still has to read (``Msg5.h:1-60``): a searcher constructed while
+    an older plain ``IndexSearcher`` of the same directory is alive takes
+    over the merged lists that one cached, the most recent that fit its
+    own budget, when they are exact for it (:func:`_carry_gen`).  When
+    generations, tombstones, ``n_docs`` and ``avgdl`` are all unchanged a
+    carried list is served as it is; otherwise its first fetch merges it,
+    re-masked by the current tombstones, with the parts of only the
+    generations added since, and recomputes its block maxima at the
+    current avgdl.  A compaction or rebuild changes the files, so nothing
+    is carried.  ``carried`` counts the lists served from a carried
+    entry.  Subclasses (the fan-out coordinator) neither take over nor
+    hand over lists."""
+
     def __init__(self, index_dir: str, cache_bytes: int = 256 << 20):
         self.index_dir = index_dir
         self._gens = open_generations(index_dir)
@@ -580,27 +650,71 @@ class IndexSearcher:
         # byte-bounded like the decoded-list cache — each ref pins its
         # full payload in the object store until evicted
         self._part_refs = LruBytesCache(cache_bytes)
+        self.carried = 0
+        # the newest generation of the searcher whose lists were carried
+        # over, and whether its state equals this one's
+        self._since, self._unchanged = None, False
+        if type(self) is IndexSearcher:
+            self._adopt()
+
+    def _adopt(self) -> None:
+        """Become the newest searcher of the index and take over the
+        merged lists of the one before it, if they carry."""
+        key = os.path.abspath(self.index_dir)
+        with _NEWEST_LOCK:
+            prev = _NEWEST.get(key)
+            _NEWEST[key] = self
+        since = None if prev is None else _carry_gen(prev, self)
+        if since is None:
+            return
+        self._since = since
+        self._unchanged = (
+            len(prev._gens) == len(self._gens)
+            and np.array_equal(prev.tomb_doc, self.tomb_doc)
+            and np.array_equal(prev.tomb_dead, self.tomb_dead)
+            and (prev.n_docs, prev.avgdl) == (self.n_docs, self.avgdl))
+        # the predecessor's own carried entries are not exact for its
+        # state: take_over leaves them behind
+        self._cache.take_over(prev._cache)
 
     # -- fetch ---------------------------------------------------------
 
     def _cached(self, term_id: int, with_positions: bool):
         """The cached merged list that serves a fetch (one with positions
         serves one without), or MISSING."""
-        hit = self._cache.get((term_id, with_positions), MISSING)
-        if hit is MISSING and not with_positions:
-            hit = self._cache.get((term_id, True), MISSING)
-        return hit
+        return self._cache.lookup(
+            ((term_id, True),) if with_positions
+            else ((term_id, False), (term_id, True)), MISSING)
+
+    def _take_carried(self, term_id: int, with_positions: bool):
+        """Remove the carried entry that serves a fetch → ``(positions?,
+        list)``, or ``(with_positions, MISSING)``."""
+        if self._since is not None:
+            for wp in (True,) if with_positions else (False, True):
+                tp = self._cache.take((term_id, wp), MISSING)
+                if tp is not MISSING:
+                    self.carried += 1
+                    return wp, tp
+            if with_positions:      # the list read next serves its fetches
+                self._cache.take((term_id, False))
+        return with_positions, MISSING
 
     def get_postings(self, term_id: int,
                      with_positions: bool = False) -> TermPostings | None:
         hit = self._cached(term_id, with_positions)
         if hit is not MISSING:
             return hit
-        tp = self._merge_parts(
-            [(g.gen, d) for g in self._gens
-             for d in g.raw_postings(term_id, with_positions)],
-            with_positions)
-        self._cache.put((term_id, with_positions), tp)
+        wp, tp = self._take_carried(term_id, with_positions)
+        if tp is MISSING:
+            tp = self._merge_parts(
+                [(g.gen, d) for g in self._gens
+                 for d in g.raw_postings(term_id, wp)], wp)
+        elif not self._unchanged:
+            parts = [] if tp is None else [(self._since, _as_part(tp, wp))]
+            tp = self._merge_parts(
+                parts + [(g.gen, d) for g in self._gens if g.gen > self._since
+                         for d in g.raw_postings(term_id, wp)], wp)
+        self._cache.put((term_id, wp), tp)
         return tp
 
     def _merge_parts(self, parts: list[tuple[int, dict]],

@@ -407,3 +407,262 @@ def test_no_reader_outlives_its_searchers(incr_index):
     prefix = os.path.abspath(incr_index) + os.sep
     assert not [key for key in segments._LIVE.keys()
                 if key[0].startswith(prefix)]
+
+
+class _Fresh(IndexSearcher):
+    """A searcher that takes over no lists (subclasses neither take over
+    nor hand over): the reference a reopened searcher must equal."""
+
+
+def _lists_equal(a, b, wp: bool) -> bool:
+    if a is None or b is None:
+        return a is b
+    same = (np.array_equal(a.doc_ids, b.doc_ids)
+            and np.array_equal(a.tfs, b.tfs) and np.array_equal(a.dl, b.dl)
+            and a.df == b.df and (a.block_max is None) == (b.block_max is None)
+            and (a.block_max is None or np.array_equal(a.block_max,
+                                                       b.block_max)))
+    if wp:
+        same = same and all(np.array_equal(x, y) for x, y in
+                            zip(a.positions, b.positions))
+    return same
+
+
+def _merged_keys(se) -> list[tuple]:
+    return sorted(se._cache._d)
+
+
+def _carried_keys(se) -> list[tuple]:
+    return sorted(se._cache._carried)
+
+
+def _assert_like_fresh(se, idx: str, keys) -> int:
+    """Every list in ``keys`` and every reference query (plus phrase
+    queries, which read positions) equal a fresh searcher's, docIDs and
+    float64 scores → the number of lists with block maxima."""
+    fresh = _Fresh(idx)
+    n_block_max = 0
+    for tid, wp in keys:
+        tp = se.get_postings(tid, with_positions=wp)
+        assert _lists_equal(tp, fresh.get_postings(tid, with_positions=wp),
+                            wp), (tid, wp)
+        n_block_max += tp is not None and tp.block_max is not None
+    for q, k in [(q, k) for _, q, k in query_set()] + [
+            ('"w0001 w0002"', 20), ('"the w0002" w0042', 20)]:
+        d1, s1 = se.search(q, k)
+        d2, s2 = fresh.search(q, k)
+        assert list(d1) == list(d2) and list(s1) == list(s2), q
+    return n_block_max
+
+
+def test_reopen_carries_merged_lists(ray_session, monkeypatch):
+    """A searcher reopened while its predecessor is alive takes over the
+    predecessor's merged lists and reads, for each, only the generations
+    added since: through add, delete, update, delete-only, a no-op reopen
+    and compact_merge it serves every list, block maxima included (at a
+    lowered block-max floor), exactly as a fresh searcher does, and
+    scores like the oracle.  After compact_merge nothing is carried."""
+    from open_source_search_engine_ray.config import IndexConfig
+    from open_source_search_engine_ray.index import segments
+    from open_source_search_engine_ray.query import engine
+
+    monkeypatch.setattr(engine, "BLOCK_MAX_MIN_DF", 16)
+    idx = IDX + "_carry"
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(lambda: transcripts_dataset(80), idx,
+                IndexConfig(num_salts=2, block_size=16),
+                input_token="carry:base")
+    reads = []
+    read_terms = segments.SegmentReader.read_terms
+
+    def counted(self, *args, **kwargs):
+        reads.append(os.path.abspath(self.path))
+        return read_terms(self, *args, **kwargs)
+
+    monkeypatch.setattr(segments.SegmentReader, "read_terms", counted)
+    state = {"se": IndexSearcher(idx)}
+    live = list(range(80))
+    _assert_oracle(state["se"], live)
+    _assert_like_fresh(state["se"], idx, [])
+
+    def reopen(live):
+        """Reopen with the old searcher alive → (files read by the carried
+        lists' first fetches, lists with block maxima)."""
+        before = _merged_keys(state["se"])
+        se = IndexSearcher(idx)
+        carried = _carried_keys(se)
+        assert carried == before != []
+        reads.clear()
+        # without positions first: each carried entry serves its own fetch
+        for tid, wp in sorted(carried, key=lambda key: key[1]):
+            se.get_postings(tid, with_positions=wp)
+        assert se.carried == len(carried)
+        read = sorted(set(reads))
+        n_block_max = _assert_like_fresh(se, idx, carried)
+        _assert_oracle(se, live)
+        state["se"] = se
+        return read, n_block_max
+
+    def newest_gen_dir() -> str:
+        gen = max(g["gen"] for g in read_generations(idx)["generations"])
+        return os.path.abspath(os.path.join(idx, "gens", f"g{gen}")) + os.sep
+
+    add_documents(idx, lambda: transcripts_dataset_range(80, 110),
+                  input_token="carry:g1")
+    live += list(range(80, 110))
+    read, n_block_max = reopen(live)
+    assert read and all(p.startswith(newest_gen_dir()) for p in read)
+    assert n_block_max > 0
+
+    dead = (3, 50, 95)
+    delete_convs(idx, [f"conv-{i:08d}" for i in dead])
+    live = [i for i in live if i not in dead]
+    read, n_block_max = reopen(live)
+    assert read == [] and n_block_max > 0
+
+    # update: delete and re-add the same conversation
+    delete_convs(idx, ["conv-00000007"])
+    add_documents(idx, lambda: transcripts_dataset_range(7, 8),
+                  input_token="carry:update")
+    read, _ = reopen(live)
+    assert read and all(p.startswith(newest_gen_dir()) for p in read)
+
+    delete_convs(idx, ["conv-00000020"])
+    live.remove(20)
+    read, _ = reopen(live)
+    assert read == []
+
+    # nothing changed: the very same lists are served
+    prev = state["se"]
+    read, _ = reopen(live)
+    assert read == [] and state["se"]._unchanged
+    for tid, wp in _merged_keys(prev):
+        assert state["se"].get_postings(tid, wp) is prev.get_postings(tid, wp)
+
+    # the second compaction rewrites one generation without tombstones:
+    # the same state but new files, so still nothing is carried
+    for _ in range(2):
+        compact_merge(idx)
+        se = IndexSearcher(idx)
+        assert _carried_keys(se) == [] and se._since is None
+        reads.clear()
+        _assert_like_fresh(se, idx, _merged_keys(state["se"]))
+        _assert_oracle(se, live)
+        assert se.carried == 0 and reads
+        state["se"] = se
+    state.clear()
+    shutil.rmtree(idx, ignore_errors=True)
+
+
+def test_carried_lists_fit_the_new_budget(incr_index):
+    """Lists taken over count against the new searcher's own
+    ``cache_bytes``, also when it is smaller than the predecessor's: the
+    most recent that fit are carried, never more bytes than the budget."""
+    def predecessor():
+        se = IndexSearcher(incr_index)
+        for _, q, k in query_set():
+            se.search(q, k)
+        return se
+
+    big = predecessor()
+    budget = big._cache.nbytes // 3
+    small = IndexSearcher(incr_index, cache_bytes=budget)
+    assert _carried_keys(small) and small._cache.nbytes <= budget
+    for _, q, k in query_set():
+        d1, s1 = small.search(q, k)
+        d2, s2 = big.search(q, k)
+        assert list(d1) == list(d2) and list(s1) == list(s2), q
+    # dropping the newest searcher leaves none to take over from
+    del small
+    big = predecessor()
+    budget = min(size for _, size in big._cache._d.values()) - 1
+    tiny = IndexSearcher(incr_index, cache_bytes=budget)
+    assert _carried_keys(tiny) == [] and tiny._cache.nbytes == 0
+
+
+def test_low_tombstone_disables_carry(ray_session):
+    """A tombstone that kills less than the predecessor's newest
+    generation (``delete_docs`` never writes one) would not be exact on a
+    carried list: nothing is carried, and results equal a fresh
+    searcher's and the oracle's."""
+    import pyarrow.parquet as pq
+
+    from open_source_search_engine_ray.index.merge import (
+        TOMBSTONES_FILE, read_tombstones, refresh_stats)
+
+    idx = IDX + "_lowtomb"
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(lambda: transcripts_dataset(60), idx,
+                input_token="lowtomb:base")
+    add_documents(idx, lambda: transcripts_dataset_range(60, 80),
+                  input_token="lowtomb:g1")
+    delete_convs(idx, ["conv-00000004"])
+    prev = IndexSearcher(idx)
+    for _, q, k in query_set():
+        prev.search(q, k)
+    # conv 12 lives in generation 0 only: dead up to 0 deletes it
+    path = os.path.join(idx, TOMBSTONES_FILE)
+    tomb = pa.concat_tables([pq.read_table(path), pa.table({
+        "doc_id": pa.array(doc_ids_for_convs(["conv-00000012"]),
+                           type=pa.uint64()),
+        "dead_upto_gen": pa.array([0], type=pa.int32())})])
+    pq.write_table(tomb, path)
+    refresh_stats(idx)
+    assert len(read_tombstones(idx)[0]) == 2
+    se = IndexSearcher(idx)
+    assert se._since is None and _carried_keys(se) == []
+    _assert_like_fresh(se, idx, _merged_keys(prev))
+    _assert_oracle(se, [i for i in range(80) if i not in (4, 12)])
+    del prev, se
+    shutil.rmtree(idx, ignore_errors=True)
+
+
+def test_fanout_searcher_neither_takes_nor_hands_over(ray_session):
+    """A fan-out coordinator built between two reopens takes over no
+    lists, and the next plain searcher takes over from the plain one
+    before it, not from the coordinator; fan-out == local."""
+    import ray
+
+    from open_source_search_engine_ray.functions.ghash import (
+        TERMID_MASK, hash64_lower_utf8)
+    from open_source_search_engine_ray.query.distributed import (
+        DistributedSearcher)
+
+    idx = IDX + "_fanout_carry"
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(lambda: transcripts_dataset(60), idx,
+                input_token="fanout-carry:base")
+    se1 = IndexSearcher(idx)
+    for _, q, k in query_set():
+        se1.search(q, k)
+    dist = DistributedSearcher(idx, n_servers=2)
+    try:
+        assert dist._since is None and _carried_keys(dist) == []
+        for qid, q, k in query_set():
+            d1, s1 = se1.search(q, k)
+            d2, s2 = dist.search(q, k)
+            assert list(d1) == list(d2) and list(s1) == list(s2), (qid, q)
+        only_dist = int(np.uint64(hash64_lower_utf8("w0300")) & TERMID_MASK)
+        dist.search("w0300", 10)
+        assert (only_dist, False) in dist._cache
+        assert (only_dist, False) not in se1._cache
+        delete_convs(idx, ["conv-00000009"])
+        se2 = IndexSearcher(idx)
+        assert _carried_keys(se2) == _merged_keys(se1)
+        _assert_like_fresh(se2, idx, _carried_keys(se2))
+        _assert_oracle(se2, [i for i in range(60) if i != 9])
+        dist2 = DistributedSearcher(idx, n_servers=2)
+        try:
+            assert _carried_keys(dist2) == []
+            for qid, q, k in query_set():
+                d1, s1 = se2.search(q, k)
+                d2, s2 = dist2.search(q, k)
+                assert list(d1) == list(d2) and list(s1) == list(s2), (qid, q)
+        finally:
+            for server in dist2._servers:
+                ray.kill(server)
+    finally:
+        for server in dist._servers:
+            ray.kill(server)
+    del se1, se2
+    shutil.rmtree(idx, ignore_errors=True)

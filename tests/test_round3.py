@@ -33,6 +33,44 @@ def test_lru_bytes_cache_semantics():
     assert len(c) >= 1
 
 
+def test_cache_counters(test_index):
+    """Every lookup is one hit or one miss; evictions count the entries
+    the budget pushed out."""
+    from open_source_search_engine_ray.functions.ghash import (
+        TERMID_MASK, hash64_lower_utf8)
+    from open_source_search_engine_ray.query.engine import IndexSearcher
+
+    from conftest import TEST_INDEX
+
+    c = LruBytesCache(max_bytes=1000)
+    for key in "abc":                  # 464 bytes each: "c" evicts "a"
+        c.put(key, np.zeros(50, dtype=np.int64))
+    c.get("a")
+    c.lookup(["a", "b"])
+    d = LruBytesCache(max_bytes=1000)
+    d.take_over(c)                     # carries "c", then "b" (newest)
+    assert d.take("a", MISSING) is MISSING and d.take("b") is not None
+    d.put("x", np.zeros(100, dtype=np.int64))   # 864 bytes: evicts "c"
+    assert d.take("c", MISSING) is MISSING and d.nbytes == 864
+    # carrying and taking are not lookups
+    assert (c.hits, c.misses, c.evictions) == (1, 1, 1)
+    assert (d.hits, d.misses, d.evictions) == (0, 0, 1)
+
+    a, b, t = (int(np.uint64(hash64_lower_utf8(tok)) & TERMID_MASK)
+               for tok in ("w0002", "w0042", "the"))
+    # a list read with positions serves a fetch without them; the counts
+    # are the same whether or not the searcher took over lists
+    seq = [(a, False), (a, False), (b, True), (b, False), (b, True),
+           (t, False), (a, False)]
+    se = IndexSearcher(TEST_INDEX)
+    for tid, wp in seq:
+        se.get_postings(tid, with_positions=wp)
+    cache = se._cache
+    assert (cache.hits, cache.misses) == (4, 3)
+    assert cache.hits + cache.misses == len(seq)
+    assert se.carried <= cache.misses
+
+
 def test_searcher_cache_bounded(ray_session):
     """A distinct-term query stream through a capped searcher stays within
     the byte budget and returns the same results as an uncapped one."""
