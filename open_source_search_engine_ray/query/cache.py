@@ -20,6 +20,7 @@ cache needs.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -55,7 +56,11 @@ class LruBytesCache:
     Entries carried over from another cache (:meth:`take_over`) share
     the budget but are older than every entry put here, so they are
     evicted first; lookups, ``len`` and ``in`` do not see them, and
-    :meth:`take` removes one for its caller to refresh and put back."""
+    :meth:`take` removes one for its caller to refresh and put back.
+
+    Every change to the maps, and :meth:`take_over`'s copy, holds the
+    cache's lock: a searcher may be reopened while its predecessor still
+    serves queries on another thread."""
 
     def __init__(self, max_bytes: int = 256 << 20):
         self._d: OrderedDict = OrderedDict()   # key -> (value, size)
@@ -63,6 +68,7 @@ class LruBytesCache:
         self._bytes = 0                        # of both maps
         self.max_bytes = int(max_bytes)
         self.hits = self.misses = self.evictions = 0
+        self._lock = threading.Lock()
 
     def __contains__(self, key) -> bool:
         return key in self._d
@@ -80,33 +86,36 @@ class LruBytesCache:
     def lookup(self, keys, default=None):
         """The value of the first of ``keys`` present (made most recent),
         else ``default`` — one hit or one miss."""
-        for key in keys:
-            ent = self._d.get(key)
-            if ent is not None:
-                self.hits += 1
-                self._d.move_to_end(key)
-                return ent[0]
-        self.misses += 1
+        with self._lock:
+            for key in keys:
+                ent = self._d.get(key)
+                if ent is not None:
+                    self.hits += 1
+                    self._d.move_to_end(key)
+                    return ent[0]
+            self.misses += 1
         return default
 
     def take_over(self, other: LruBytesCache) -> None:
         """Carry ``other``'s entries (not those it carries itself) into
         this empty cache: its most recent ones that fit the budget."""
-        # one copy in C, which another thread's put cannot interleave with
-        carried = OrderedDict(other._d)
+        with other._lock:
+            carried = OrderedDict(other._d)
         nbytes = sum(size for _, size in carried.values())
         while nbytes > self.max_bytes:
             _, (_, size) = carried.popitem(last=False)
             nbytes -= size
-        self._carried = carried
-        self._bytes += nbytes
+        with self._lock:
+            self._carried = carried
+            self._bytes += nbytes
 
     def take(self, key, default=None):
         """Remove the carried entry ``key`` → its value, or ``default``."""
-        ent = self._carried.pop(key, None)
-        if ent is None:
-            return default
-        self._bytes -= ent[1]
+        with self._lock:
+            ent = self._carried.pop(key, None)
+            if ent is None:
+                return default
+            self._bytes -= ent[1]
         return ent[0]
 
     def put(self, key, value, size: int | None = None) -> None:
@@ -114,14 +123,16 @@ class LruBytesCache:
         stored object is a handle (e.g. a Ray ObjectRef) whose real
         payload lives elsewhere."""
         size = approx_nbytes(value) if size is None else int(size)
-        old = self._d.pop(key, None)
-        if old is not None:
-            self._bytes -= old[1]
-        self._d[key] = (value, size)
-        self._bytes += size
-        # keep at least the newest entry even if it alone busts the budget
-        while self._bytes > self.max_bytes and (self._carried
-                                                or len(self._d) > 1):
-            _, (_, s) = (self._carried or self._d).popitem(last=False)
-            self._bytes -= s
-            self.evictions += 1
+        with self._lock:
+            old = self._d.pop(key, None)
+            if old is not None:
+                self._bytes -= old[1]
+            self._d[key] = (value, size)
+            self._bytes += size
+            # keep at least the newest entry even if it alone busts the
+            # budget
+            while self._bytes > self.max_bytes and (self._carried
+                                                    or len(self._d) > 1):
+                _, (_, s) = (self._carried or self._d).popitem(last=False)
+                self._bytes -= s
+                self.evictions += 1

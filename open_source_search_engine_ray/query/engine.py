@@ -34,6 +34,7 @@ tests comparing against the oracle.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -568,10 +569,12 @@ def _sort_by_attr(req: SearchRequest, fids: np.ndarray, fvals: np.ndarray,
     return ids[order], vals[order]
 
 
-# the newest plain IndexSearcher of each index directory (absolute path);
-# weak, so no searcher is kept alive to donate its lists
-_NEWEST: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_NEWEST_LOCK = threading.Lock()
+# every live plain IndexSearcher, keyed (absolute index directory,
+# construction order); weak, so no searcher is kept alive to hand over
+# its lists
+_SEARCHERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SEARCHERS_LOCK = threading.Lock()
+_ORDER = itertools.count()
 
 
 def _carry_gen(prev: IndexSearcher, cur: IndexSearcher) -> int | None:
@@ -615,16 +618,15 @@ class IndexSearcher:
     Carried lists — the ``Msg5`` cached list merged with only the files
     it still has to read (``Msg5.h:1-60``): a searcher constructed while
     an older plain ``IndexSearcher`` of the same directory is alive takes
-    over the merged lists that one cached, the most recent that fit its
-    own budget, when they are exact for it (:func:`_carry_gen`).  When
-    generations, tombstones, ``n_docs`` and ``avgdl`` are all unchanged a
-    carried list is served as it is; otherwise its first fetch merges it,
-    re-masked by the current tombstones, with the parts of only the
-    generations added since, and recomputes its block maxima at the
-    current avgdl.  A compaction or rebuild changes the files, so nothing
-    is carried.  ``carried`` counts the lists served from a carried
-    entry.  Subclasses (the fan-out coordinator) neither take over nor
-    hand over lists."""
+    over the merged lists of the newest such searcher whose lists are
+    exact for it (:func:`_carry_gen`), the most recent that fit its own
+    budget.  A carried list's first fetch merges it, re-masked by the
+    current tombstones, with the parts of only the generations added
+    since, and recomputes its block maxima at the current avgdl.  A
+    compaction or rebuild changes the files, so nothing is carried.
+    ``carried`` counts the lists served from a carried entry.
+    Subclasses (the fan-out coordinator) neither take over nor hand over
+    lists."""
 
     def __init__(self, index_dir: str, cache_bytes: int = 256 << 20):
         self.index_dir = index_dir
@@ -652,30 +654,30 @@ class IndexSearcher:
         self._part_refs = LruBytesCache(cache_bytes)
         self.carried = 0
         # the newest generation of the searcher whose lists were carried
-        # over, and whether its state equals this one's
-        self._since, self._unchanged = None, False
+        # over
+        self._since = None
         if type(self) is IndexSearcher:
             self._adopt()
 
     def _adopt(self) -> None:
-        """Become the newest searcher of the index and take over the
-        merged lists of the one before it, if they carry."""
+        """Register as a live searcher of the index and take over the
+        merged lists of the newest older one whose lists carry.  Every
+        live searcher stays registered, so dropping a short-lived one
+        (``delete_by_query``'s) leaves the one still serving to hand
+        over."""
         key = os.path.abspath(self.index_dir)
-        with _NEWEST_LOCK:
-            prev = _NEWEST.get(key)
-            _NEWEST[key] = self
-        since = None if prev is None else _carry_gen(prev, self)
-        if since is None:
-            return
-        self._since = since
-        self._unchanged = (
-            len(prev._gens) == len(self._gens)
-            and np.array_equal(prev.tomb_doc, self.tomb_doc)
-            and np.array_equal(prev.tomb_dead, self.tomb_dead)
-            and (prev.n_docs, prev.avgdl) == (self.n_docs, self.avgdl))
-        # the predecessor's own carried entries are not exact for its
-        # state: take_over leaves them behind
-        self._cache.take_over(prev._cache)
+        with _SEARCHERS_LOCK:
+            older = sorted(((n, se) for (d, n), se in _SEARCHERS.items()
+                            if d == key), key=lambda item: -item[0])
+            _SEARCHERS[(key, next(_ORDER))] = self
+        for _, prev in older:
+            since = _carry_gen(prev, self)
+            if since is not None:
+                self._since = since
+                # the predecessor's own carried entries are not exact
+                # for its state: take_over leaves them behind
+                self._cache.take_over(prev._cache)
+                return
 
     # -- fetch ---------------------------------------------------------
 
@@ -709,7 +711,7 @@ class IndexSearcher:
             tp = self._merge_parts(
                 [(g.gen, d) for g in self._gens
                  for d in g.raw_postings(term_id, wp)], wp)
-        elif not self._unchanged:
+        else:
             parts = [] if tp is None else [(self._since, _as_part(tp, wp))]
             tp = self._merge_parts(
                 parts + [(g.gen, d) for g in self._gens if g.gen > self._since

@@ -532,12 +532,9 @@ def test_reopen_carries_merged_lists(ray_session, monkeypatch):
     read, _ = reopen(live)
     assert read == []
 
-    # nothing changed: the very same lists are served
-    prev = state["se"]
+    # nothing changed: the carried lists are refreshed without a read
     read, _ = reopen(live)
-    assert read == [] and state["se"]._unchanged
-    for tid, wp in _merged_keys(prev):
-        assert state["se"].get_postings(tid, wp) is prev.get_postings(tid, wp)
+    assert read == []
 
     # the second compaction rewrites one generation without tombstones:
     # the same state but new files, so still nothing is carried
@@ -551,6 +548,36 @@ def test_reopen_carries_merged_lists(ray_session, monkeypatch):
         assert se.carried == 0 and reads
         state["se"] = se
     state.clear()
+    shutil.rmtree(idx, ignore_errors=True)
+
+
+def test_short_lived_searcher_keeps_the_carry(ray_session):
+    """A searcher built and dropped while the serving one is alive
+    (``delete_by_query``'s) takes over its lists but does not cost it
+    them: the next reopen still takes over the serving searcher's lists
+    and equals a fresh searcher and the oracle."""
+    from open_source_search_engine_ray.functions.ghash import (
+        doc_id_for_conv)
+    from open_source_search_engine_ray.index.merge import delete_by_query
+
+    idx = IDX + "_shortlived"
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(lambda: transcripts_dataset(60), idx,
+                input_token="shortlived:base")
+    se = IndexSearcher(idx)
+    for _, q, k in query_set():
+        se.search(q, k)
+    doomed = {int(d) for d in se.search("w0042", se.n_docs)[0]}
+    victims = [i for i in range(60)
+               if doc_id_for_conv(f"conv-{i:08d}") in doomed]
+    served = _merged_keys(se)
+    assert victims and delete_by_query(idx, "w0042") == len(victims)
+    se2 = IndexSearcher(idx)
+    assert _carried_keys(se2) == served != []
+    _assert_like_fresh(se2, idx, served)
+    assert se2.carried == len(served)
+    _assert_oracle(se2, [i for i in range(60) if i not in victims])
+    del se, se2
     shutil.rmtree(idx, ignore_errors=True)
 
 
@@ -572,9 +599,8 @@ def test_carried_lists_fit_the_new_budget(incr_index):
         d1, s1 = small.search(q, k)
         d2, s2 = big.search(q, k)
         assert list(d1) == list(d2) and list(s1) == list(s2), q
-    # dropping the newest searcher leaves none to take over from
+    # the newest live searcher hands over: with small dropped, big does
     del small
-    big = predecessor()
     budget = min(size for _, size in big._cache._d.values()) - 1
     tiny = IndexSearcher(incr_index, cache_bytes=budget)
     assert _carried_keys(tiny) == [] and tiny._cache.nbytes == 0
