@@ -72,9 +72,12 @@ def main(argv=None) -> int:
     sg.add_argument("--q", required=True)
     sg.add_argument("-k", type=int, default=5)
 
-    a = sub.add_parser("add")
+    a = sub.add_parser("add",
+                       help="add documents in a new generation; a document "
+                            "already in the index is replaced")
     a.add_argument("--index", required=True)
-    a.add_argument("--input", required=True)
+    a.add_argument("--input", required=True,
+                   help="parquet file/dir of transcripts")
 
     c = sub.add_parser("compact")
     c.add_argument("--index", required=True)

@@ -1,5 +1,5 @@
 """Incremental index maintenance: append generations, tombstone deletes,
-updates (delete+readd), stats refresh, and compaction.
+stats refresh, and compaction.
 
 Mirrors the reference's LSM lifecycle re-expressed over immutable Parquet
 generations:
@@ -8,17 +8,18 @@ generations:
   new numbered file, ``Rdb.cpp:717-790``) — here a self-contained sub-index
   built by the same ``build_index`` pipeline under ``gens/g{G}/``;
 - deletes are tombstones ``(doc_id, dead_upto_gen)`` (negative keys with the
-  del-bit, ``Rdb.h:76-88``, ``Posdb.h:226-228``): postings of generations
-  ≤ ``dead_upto_gen`` for that doc are dead; a later re-add revives the doc
-  (newest-file-wins, ``RdbList.cpp:2361-2372`` filePos filtering);
-- an update = tombstone + re-add in the next generation;
-- global scoring stats (live N, avgdl) are refreshed from the per-generation
-  doc-stats tables with newest-generation-wins per doc (driver-side merge
-  here; a Ray aggregate at cluster scale);
-- ``compact()`` rebuilds the live corpus into a fresh single-generation
-  index and swaps — the ``Repair``/``DocRebuild`` rebuild-and-swap path
-  (``Repair.cpp``, ``DocRebuild.cpp``); a segment-level k-way merge
-  (``posdbMerge_r``) is the planned optimization.
+  del-bit, ``Rdb.h:76-88``, ``Posdb.h:226-228``): rows of generations
+  ≤ ``dead_upto_gen`` for that doc are dead; a later re-add revives the doc;
+- every add is an upsert: it tombstones its docs' versions in the older
+  generations (the reindex's negative keys for the old document, the
+  ``XmlDoc`` old-doc diff → ``Rdb`` annihilation), so one version of a doc
+  is live and tombstones are the only liveness rule;
+- global scoring stats (live N, avgdl) are refreshed from the
+  per-generation doc-stats tables, one file at a time;
+- ``compact_merge()`` k-way merges every generation's segments into a
+  fresh single-generation index (``posdbMerge_r``); ``compact()``
+  rebuilds the live corpus and swaps — the ``Repair``/``DocRebuild``
+  rebuild-and-swap path (``Repair.cpp``, ``DocRebuild.cpp``).
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ from .build import build_index, load_meta
 
 GENERATIONS_FILE = "generations.json"
 TOMBSTONES_FILE = "tombstones.parquet"
-
-# at or below this many uncompressed docstats+docstore bytes, compact_merge
-# carries the live tables in-process (same masks as the streaming path);
-# above it the carry stays fully distributed
-LIVE_CARRY_DRIVER_MAX_BYTES = 256 << 20
 
 
 def _gens_path(out_dir: str) -> str:
@@ -108,19 +104,38 @@ def read_tombstones(out_dir: str):
             agg.to_numpy().astype(np.int32))
 
 
+def _append_tombstones(out_dir: str, doc_ids, dead_upto_gen: int) -> None:
+    """Kill ``doc_ids`` in every generation up to ``dead_upto_gen``."""
+    doc = np.asarray(doc_ids, dtype=np.uint64)
+    path = os.path.join(out_dir, TOMBSTONES_FILE)
+    new = pa.table({
+        "doc_id": pa.array(doc),
+        "dead_upto_gen": pa.array(
+            np.full(len(doc), dead_upto_gen, dtype=np.int32)),
+    })
+    if os.path.exists(path):
+        new = pa.concat_tables([pq.read_table(path), new])
+    tmp = path + ".tmp"
+    pq.write_table(new, tmp)
+    os.replace(tmp, path)
+
+
 def add_documents(out_dir: str, transcripts_ds_factory, *,
                   input_token: str,
                   config: IndexConfig | None = None) -> dict:
-    """Append a new generation containing the given documents."""
+    """Add or replace documents: append a new generation holding them and
+    tombstone their versions in every older generation (an upsert — the
+    respider path: delete-doc negative keys + reindex)."""
     gens = read_generations(out_dir)
-    new_gen = max(g["gen"] for g in gens["generations"]) + 1
+    prev_gen = max(g["gen"] for g in gens["generations"])
+    new_gen = prev_gen + 1
     sub = gen_dir(out_dir, new_gen)
     base_meta = load_meta(out_dir)
     cfg = config or IndexConfig(**{
         **base_meta["config"],
         "field_weights": tuple(base_meta["config"]["field_weights"])})
-    # compact_merge's normal-shard path merges same-numbered shard files
-    # across generations, so the partition layout must match the base index
+    # compact_merge merges partition p of every generation into partition
+    # p, so the partition layout must match the base index
     base_cfg = base_meta["config"]
     if (cfg.num_partitions != base_cfg["num_partitions"]
             or cfg.num_salts != base_cfg["num_salts"]
@@ -131,6 +146,8 @@ def add_documents(out_dir: str, transcripts_ds_factory, *,
             f"num_salts={base_cfg['num_salts']} "
             f"salt_all={bool(base_cfg.get('salt_all_terms'))}, got "
             f"{cfg.num_partitions}/{cfg.num_salts}/{cfg.salt_all_terms})")
+    import pyarrow.dataset as pads
+
     from .build import SMALL_BUILD_MAX_ROWS
 
     # small generations skip the distributed build stages entirely (the
@@ -139,6 +156,11 @@ def add_documents(out_dir: str, transcripts_ds_factory, *,
     meta = build_index(transcripts_ds_factory, sub, cfg,
                        input_token=input_token,
                        small_input_max_rows=SMALL_BUILD_MAX_ROWS)
+    # the new versions replace the live ones before the generation is
+    # registered, so no reader sees a doc twice
+    new_docs = pads.dataset(os.path.join(sub, "docstats"),
+                            format="parquet").to_table(columns=["doc_id"])
+    _append_tombstones(out_dir, new_docs["doc_id"].to_numpy(), prev_gen)
     gens["generations"].append({"gen": new_gen,
                                 "dir": os.path.relpath(sub, out_dir),
                                 "input_token": input_token,
@@ -153,17 +175,7 @@ def delete_docs(out_dir: str, doc_ids) -> int:
     a later re-add revives them."""
     gens = read_generations(out_dir)
     cur = max(g["gen"] for g in gens["generations"])
-    path = os.path.join(out_dir, TOMBSTONES_FILE)
-    new = pa.table({
-        "doc_id": pa.array(np.asarray(list(doc_ids), dtype=np.uint64)),
-        "dead_upto_gen": pa.array(
-            np.full(len(doc_ids), cur, dtype=np.int32)),
-    })
-    if os.path.exists(path):
-        new = pa.concat_tables([pq.read_table(path), new])
-    tmp = path + ".tmp"
-    pq.write_table(new, tmp)
-    os.replace(tmp, path)
+    _append_tombstones(out_dir, list(doc_ids), cur)
     refresh_stats(out_dir)
     return len(doc_ids)
 
@@ -191,293 +203,132 @@ def delete_by_query(out_dir: str, query: str, lang: str = "en") -> int:
     return delete_docs(out_dir, [int(d) for d in cand])
 
 
-def update_documents(out_dir: str, transcripts_ds_factory, *,
-                     input_token: str,
-                     config: IndexConfig | None = None) -> dict:
-    """Update = tombstone the incoming documents' old versions, then index
-    the new versions in a fresh generation (the respider path: delete-doc
-    negative keys + reindex, ``XmlDoc`` old-doc diff → ``Rdb``
-    annihilation)."""
-    from ..functions.ghash import doc_ids_for_convs
-
-    convs = (transcripts_ds_factory().unique("conv_id"))
-    delete_docs(out_dir, doc_ids_for_convs(sorted(convs)).tolist())
-    return add_documents(out_dir, transcripts_ds_factory,
-                         input_token=input_token, config=config)
+def live_keep_mask(doc: np.ndarray, gen: int, tdoc, tdead) -> np.ndarray:
+    """THE negative-key-annihilation keep mask (``RdbList.cpp:2361-2372``)
+    for rows of generation ``gen``: False where a tombstone covers the doc
+    (``tdead >= gen``).  ``tdoc`` must be sorted.  Every live view — the
+    posting merge, the live totals, compaction's carry and the streaming
+    filter — calls this one helper."""
+    if not len(tdoc):
+        return np.ones(len(doc), dtype=bool)
+    idx = np.clip(np.searchsorted(tdoc, doc), 0, len(tdoc) - 1)
+    return ~((tdoc[idx] == doc) & (tdead[idx] >= gen))
 
 
-def _conflict_winners(out_dir: str, gen_list: list[dict]):
-    """Docs present in MORE THAN ONE generation → (sorted doc_ids uint64,
-    winning gen int32).  Distributed: a 2-column (doc_id, gen) union over
-    every generation's docstats (one row per doc) → ``groupby(doc_id)``
-    Max/Count — the only shuffle in the live-view machinery, over 12
-    bytes/doc.  The RESULT is bounded by the number of updated (re-added)
-    docs — the LSM maintenance working set, the same order of magnitude as
-    the tombstone table the driver already holds — so collecting it and
-    broadcasting it map-side replaces a corpus-wide shuffle join."""
-    import ray.data
-    from ray.data.aggregate import Count, Max
+def _table_files(out_dir: str, gen: int, subdir: str) -> list[str]:
+    """The Parquet files of generation ``gen``'s ``docstats`` or
+    ``docstore`` table."""
+    import pyarrow.dataset as pads
 
-    if len(gen_list) <= 1:
-        return np.zeros(0, np.uint64), np.zeros(0, np.int32)
-    parts = []
+    return sorted(pads.dataset(os.path.join(gen_dir(out_dir, gen), subdir),
+                               format="parquet").files)
+
+
+def _live_files(out_dir: str, gen_list: list[dict], subdir: str, tomb,
+                columns: list[str] | None = None):
+    """Yield the live rows of a per-generation table family, one input
+    file at a time (memory is bounded by one file)."""
     for g in gen_list:
-        d = gen_dir(out_dir, g["gen"])
-
-        def attach(b: pa.Table, _gen=int(g["gen"])) -> pa.Table:
-            return pa.table({
-                "doc_id": b["doc_id"],
-                "gen": pa.array(np.full(b.num_rows, _gen, np.int32))})
-
-        parts.append(ray.data.read_parquet(
-            os.path.join(d, "docstats"), columns=["doc_id"])
-            .map_batches(attach, batch_format="pyarrow"))
-    agg = (parts[0].union(*parts[1:]).groupby("doc_id")
-           .aggregate(Max("gen", alias_name="win_gen"),
-                      Count(alias_name="cnt")))
-    import pyarrow.compute as pc
-
-    dup = agg.map_batches(
-        lambda b: b.filter(pc.greater(b["cnt"], 1)),
-        batch_format="pyarrow").to_pandas()
-    if len(dup) == 0:   # empty result drops the schema
-        return np.zeros(0, np.uint64), np.zeros(0, np.int32)
-    doc = dup["doc_id"].to_numpy().astype(np.uint64)
-    order = np.argsort(doc)
-    return doc[order], dup["win_gen"].to_numpy().astype(np.int32)[order]
+        for path in _table_files(out_dir, g["gen"], subdir):
+            t = pq.ParquetFile(path).read(columns=columns)
+            keep = live_keep_mask(t["doc_id"].to_numpy().astype(np.uint64),
+                                  int(g["gen"]), *tomb)
+            yield t if keep.all() else t.filter(pa.array(keep))
 
 
-def live_keep_mask(doc: np.ndarray, gen: int, cdoc, cwin,
-                   tdoc, tdead) -> np.ndarray:
-    """THE newest-file-wins + negative-key-annihilation keep mask
-    (``RdbList.cpp:2361-2372``) for rows of generation ``gen``: False
-    where a newer generation re-added the doc (``cwin > gen``) or a
-    tombstone covers it (``tdead >= gen``).  ``cdoc``/``tdoc`` must be
-    sorted.  Every live view — the streaming batch filter, the driver
-    fast paths, compact's carry — calls this one helper so the mask
-    semantics cannot diverge between paths."""
-    keep = np.ones(len(doc), dtype=bool)
-    if len(cdoc):
-        idx = np.clip(np.searchsorted(cdoc, doc), 0, len(cdoc) - 1)
-        keep &= ~((cdoc[idx] == doc) & (cwin[idx] > gen))
-    if len(tdoc):
-        idx = np.clip(np.searchsorted(tdoc, doc), 0, len(tdoc) - 1)
-        keep &= ~((tdoc[idx] == doc) & (tdead[idx] >= gen))
-    return keep
+def _live_totals(out_dir: str, gen_list: list[dict],
+                 tomb) -> tuple[int, int]:
+    """Live (n_docs, total_dlq) from every generation's docstats."""
+    n_docs = total_dlq = 0
+    for t in _live_files(out_dir, gen_list, "docstats", tomb,
+                         ["doc_id", "dl_q"]):
+        n_docs += t.num_rows
+        total_dlq += int(t["dl_q"].to_numpy().sum())
+    return n_docs, total_dlq
 
 
-def _make_live_filter(gen: int, conflict_ref, tomb_ref):
-    """Batch filter dropping superseded (a newer generation re-added the
-    doc) and tombstoned rows — :func:`live_keep_mask` as a map-side
-    filter over broadcast arrays."""
+def _carry_live(out_dir: str, gen_list: list[dict], subdir: str, tomb,
+                dest: str) -> int:
+    """Copy the live rows of a per-generation table family into the one
+    file ``dest`` → the rows written."""
+    writer, rows = None, 0
+    try:
+        for t in _live_files(out_dir, gen_list, subdir, tomb):
+            if writer is None:
+                writer = pq.ParquetWriter(dest, t.schema)
+            writer.write_table(t)
+            rows += t.num_rows
+    finally:
+        if writer is not None:
+            writer.close()
+    return rows
+
+
+def _make_live_filter(gen: int, tomb_ref):
+    """Batch filter dropping tombstoned rows — :func:`live_keep_mask` as a
+    map-side filter over the broadcast tombstones."""
     import ray
 
     def f(b: pa.Table) -> pa.Table:
-        cdoc, cwin = ray.get(conflict_ref)
         tdoc, tdead = ray.get(tomb_ref)
         doc = b["doc_id"].to_numpy().astype(np.uint64)
-        keep = live_keep_mask(doc, gen, cdoc, cwin, tdoc, tdead)
+        keep = live_keep_mask(doc, gen, tdoc, tdead)
         return b if keep.all() else b.filter(pa.array(keep))
     return f
 
 
 def live_docs_ds(out_dir: str, subdir: str = "docstore",
-                 columns: list[str] | None = None,
-                 _precomputed: tuple | None = None):
+                 columns: list[str] | None = None):
     """STREAMING live view of a per-generation table family (``docstats``
-    or ``docstore``): newest-generation-wins + tombstones applied map-side
-    via broadcast filter arrays — no shuffle join, no driver
-    materialization; consume with ``write_parquet`` / an aggregate.
-    ``_precomputed=(cdoc, cwin, tdoc, tdead)`` skips the conflict-winner
-    job when the caller already holds the arrays (compact_merge carries
-    two table families and should pay that shuffle once, not twice)."""
+    or ``docstore``): tombstones applied map-side via a broadcast filter —
+    no shuffle join, no driver materialization; consume with
+    ``write_parquet`` / an aggregate."""
     import ray
     import ray.data
 
     gens = read_generations(out_dir)
     gen_list = sorted(gens["generations"], key=lambda g: g["gen"])
-    if _precomputed is not None:
-        cdoc, cwin, tdoc, tdead = _precomputed
-    else:
-        cdoc, cwin = _conflict_winners(out_dir, gen_list)
-        tdoc, tdead = read_tombstones(out_dir)
-    need_filter = bool(len(cdoc) or len(tdoc))
+    tomb = read_tombstones(out_dir)
+    need_filter = bool(len(tomb[0]))
     # the live filter keys on doc_id — force-include it in the pruned
     # read when the caller didn't ask for it, and drop it again after,
     # so callers like the spell vocab (columns=["text"]) survive
-    # tombstoned / multi-generation indexes
+    # tombstoned indexes
     read_cols = columns
     prune_doc_id = False
     if need_filter and columns is not None and "doc_id" not in columns:
         read_cols = ["doc_id"] + list(columns)
         prune_doc_id = True
-    conflict_ref = ray.put((cdoc, cwin))
-    tomb_ref = ray.put((tdoc, tdead))
+    tomb_ref = ray.put(tomb)
     parts = []
     for g in gen_list:
         path = os.path.join(gen_dir(out_dir, g["gen"]), subdir)
         ds = ray.data.read_parquet(path, columns=read_cols)
         if need_filter:
-            ds = ds.map_batches(
-                _make_live_filter(int(g["gen"]), conflict_ref, tomb_ref),
-                batch_format="pyarrow")
+            ds = ds.map_batches(_make_live_filter(int(g["gen"]), tomb_ref),
+                                batch_format="pyarrow")
             if prune_doc_id:
                 ds = ds.select_columns(list(columns))
         parts.append(ds)
     return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
 
-# at or below this many total docstats bytes the live-stats recompute
-# runs in-process (two pruned columns; exact same newest-wins + tombstone
-# semantics) instead of paying two Ray jobs' fixed costs — the
-# maintenance analogue of the small-generation build fast path
-REFRESH_DRIVER_MAX_BYTES = 64 << 20
-
-
-def _table_bytes(out_dir: str, gen_list: list[dict], subdir: str) -> int:
-    """Uncompressed bytes of a table's Parquet parts across generations
-    (the row groups' ``total_byte_size``, read from the footers): the
-    driver gates compare it with what an in-process pass materializes,
-    and text parts decompress to several times their file size."""
-    total = 0
-    for g in gen_list:
-        d = os.path.join(gen_dir(out_dir, g["gen"]), subdir)
-        if os.path.isdir(d):
-            for name in os.listdir(d):
-                if not name.endswith(".parquet"):
-                    continue
-                md = pq.read_metadata(os.path.join(d, name))
-                total += sum(md.row_group(i).total_byte_size
-                             for i in range(md.num_row_groups))
-    return total
-
-
-def _docstats_bytes(out_dir: str, gen_list: list[dict]) -> int:
-    return _table_bytes(out_dir, gen_list, "docstats")
-
-
-def _conflict_winners_driver(out_dir: str, gen_list: list[dict]):
-    """In-process :func:`_conflict_winners` (same result, no Ray job) for
-    maintenance working sets small enough to hold two numpy columns."""
-    import pyarrow.dataset as pads
-
-    if len(gen_list) <= 1:
-        return np.zeros(0, np.uint64), np.zeros(0, np.int32)
-    docs_per_gen, gen_ids = [], []
-    for g in gen_list:
-        d = os.path.join(gen_dir(out_dir, g["gen"]), "docstats")
-        t = pads.dataset(d, format="parquet").to_table(columns=["doc_id"])
-        docs_per_gen.append(t["doc_id"].to_numpy().astype(np.uint64))
-        gen_ids.append(int(g["gen"]))
-    all_docs = np.concatenate(docs_per_gen)
-    all_gens = np.concatenate([np.full(len(d), gid, np.int32)
-                               for d, gid in zip(docs_per_gen, gen_ids)])
-    uniq, inv, cnt = np.unique(all_docs, return_inverse=True,
-                               return_counts=True)
-    win = np.full(len(uniq), -1, np.int32)
-    np.maximum.at(win, inv, all_gens)
-    dup = cnt > 1
-    return uniq[dup], win[dup]
-
-
-def _live_table_driver(out_dir: str, gen_list: list[dict], subdir: str,
-                       cdoc, cwin, tdoc, tdead) -> pa.Table:
-    """In-process live view of a generation table family — identical
-    masks to :func:`_make_live_filter`, returned as one Arrow table."""
-    import pyarrow.dataset as pads
-
-    tables = []
-    for g in gen_list:
-        d = os.path.join(gen_dir(out_dir, g["gen"]), subdir)
-        t = pads.dataset(d, format="parquet").to_table()
-        if len(cdoc) or len(tdoc):
-            doc = t["doc_id"].to_numpy().astype(np.uint64)
-            keep = live_keep_mask(doc, int(g["gen"]), cdoc, cwin,
-                                  tdoc, tdead)
-            if not keep.all():
-                t = t.filter(pa.array(keep))
-        tables.append(t)
-    return pa.concat_tables(tables)
-
-
-def _live_totals_driver(out_dir: str, gen_list: list[dict],
-                        tomb_doc: np.ndarray,
-                        tomb_dead: np.ndarray) -> tuple[int, int]:
-    """In-process live (n_docs, total_dlq): read each generation's
-    (doc_id, dl_q), resolve newest-generation-wins conflicts and
-    tombstones with the same masks as :func:`_make_live_filter`."""
-    import pyarrow.dataset as pads
-
-    docs_per_gen, dlq_per_gen, gen_ids = [], [], []
-    for g in gen_list:
-        d = os.path.join(gen_dir(out_dir, g["gen"]), "docstats")
-        t = pads.dataset(d, format="parquet").to_table(
-            columns=["doc_id", "dl_q"])
-        docs_per_gen.append(t["doc_id"].to_numpy().astype(np.uint64))
-        dlq_per_gen.append(t["dl_q"].to_numpy().astype(np.int64))
-        gen_ids.append(int(g["gen"]))
-    all_docs = (np.concatenate(docs_per_gen) if docs_per_gen
-                else np.zeros(0, np.uint64))
-    all_gens = np.concatenate(
-        [np.full(len(d), gid, np.int32)
-         for d, gid in zip(docs_per_gen, gen_ids)]) if docs_per_gen \
-        else np.zeros(0, np.int32)
-    uniq, inv, cnt = np.unique(all_docs, return_inverse=True,
-                               return_counts=True)
-    win = np.full(len(uniq), -1, np.int32)
-    np.maximum.at(win, inv, all_gens)
-    dup = cnt > 1
-    cdoc, cwin = uniq[dup], win[dup]
-    n_docs, total_dlq = 0, 0
-    for doc, dlq, gid in zip(docs_per_gen, dlq_per_gen, gen_ids):
-        keep = live_keep_mask(doc, gid, cdoc, cwin, tomb_doc, tomb_dead)
-        n_docs += int(keep.sum())
-        total_dlq += int(dlq[keep].sum())
-    return n_docs, total_dlq
-
-
 def refresh_stats(out_dir: str) -> dict:
-    """Recompute live N / avgdl into generations.json (exact int sums).
+    """Recompute live N / avgdl into generations.json (exact int sums)."""
+    from .build import _avgdl
 
-    Fast paths: an untouched index (single generation, no tombstones)
-    takes its totals straight from the generation's meta — no Ray job;
-    a maintained index whose docstats total ≤ ``REFRESH_DRIVER_MAX_BYTES``
-    recomputes in-process (same masks, no Ray-job fixed costs).  Bigger
-    indexes aggregate the live docstats STREAM (Sum/Count over two
-    pruned columns) — fully distributed."""
     gens = read_generations(out_dir)
     gen_list = sorted(gens["generations"], key=lambda g: g["gen"])
-    tomb_doc, tomb_dead = read_tombstones(out_dir)
-    if len(gen_list) == 1 and len(tomb_doc) == 0:
-        m = load_meta(gen_dir(out_dir, gen_list[0]["gen"]))
-        n_docs, total_dlq = int(m["n_docs"]), int(m["total_dlq"])
-    elif _docstats_bytes(out_dir, gen_list) <= REFRESH_DRIVER_MAX_BYTES:
-        n_docs, total_dlq = _live_totals_driver(out_dir, gen_list,
-                                                tomb_doc, tomb_dead)
-    else:
-        from ray.data.aggregate import Count, Sum
-
-        agg = (live_docs_ds(out_dir, "docstats",
-                            columns=["doc_id", "dl_q"])
-               .aggregate(Sum("dl_q", alias_name="total_dlq"),
-                          Count(alias_name="n_docs")))
-        # Ray returns None (not a dict) for an empty dataset — e.g.
-        # every doc tombstoned
-        n_docs = int(agg["n_docs"] or 0) if agg else 0
-        total_dlq = int(agg["total_dlq"] or 0) if agg else 0
+    n_docs, total_dlq = _live_totals(out_dir, gen_list,
+                                     read_tombstones(out_dir))
     gens["live_stats"] = {
         "n_docs": n_docs,
         "total_dlq": total_dlq,
-        "avgdl": float(np.float64(total_dlq) / 4.0 /
-                       np.float64(max(1, n_docs))),
+        "avgdl": _avgdl(n_docs, total_dlq),
         "refreshed_at": time.time(),
     }
     _write_generations(out_dir, gens)
     return gens["live_stats"]
-
-
-_EMPTY_CDOC = np.zeros(0, np.uint64)
-_EMPTY_CWIN = np.zeros(0, np.int32)
 
 
 def merge_postings(parts, tomb, with_positions: bool = True,
@@ -486,11 +337,10 @@ def merge_postings(parts, tomb, with_positions: bool = True,
     in-memory ``posdbMerge_r`` (``RdbList.cpp:2186-2400``): sorted union
     with negative-key annihilation.  ``parts`` yields ``(gen,
     decode_posting_table output)`` pairs; each loses the postings a
-    tombstone kills in its generation (:func:`live_keep_mask`; postings
-    resolve newest-generation-wins through the tombstones an update
-    writes), then the survivors are concatenated and stably sorted by
-    docId — by (term, docId) with ``by_term``, for parts of many terms —
-    so equal keys keep part order.  The searchers, the fan-out
+    tombstone kills in its generation (:func:`live_keep_mask`; an add
+    tombstones the versions it replaces), then the survivors are
+    concatenated and stably sorted by docId — by (term, docId) with
+    ``by_term``, for parts of many terms — so equal keys keep part order.  The searchers, the fan-out
     coordinator and compaction all merge here.
 
     → ``doc_ids``, ``tfs``, ``dl`` (+ ``term`` with ``by_term``,
@@ -505,8 +355,7 @@ def merge_postings(parts, tomb, with_positions: bool = True,
     kept: dict[str, list] = {c: [] for c in cols}
     pos, block_max = [], None
     for gen, d in parts:
-        alive = live_keep_mask(d["doc_ids"], gen, _EMPTY_CDOC, _EMPTY_CWIN,
-                               tdoc, tdead)
+        alive = live_keep_mask(d["doc_ids"], gen, tdoc, tdead)
         if not alive.any():
             continue
         whole = bool(alive.all())
@@ -568,9 +417,8 @@ def compact_merge(out_dir: str) -> dict:
     single-generation index — the ``RdbMerge`` / ``posdbMerge_r`` path
     (``RdbList.cpp:2186-2400``), no re-tokenization."""
     import ray
-    import ray.data
 
-    from .build import load_meta
+    from .build import _avgdl, _partitions
 
     base_meta = load_meta(out_dir)
     cfg = IndexConfig(**{**base_meta["config"],
@@ -602,65 +450,24 @@ def compact_merge(out_dir: str) -> dict:
     os.makedirs(new_dir, exist_ok=True)
     fingerprint = f"compact-merge:{base_meta['fingerprint']}"
 
-    # live doc stats + doc store carry.  Small maintenance working sets
-    # (uncompressed table bytes ≤ LIVE_CARRY_DRIVER_MAX_BYTES) run
-    # in-process — the five Ray jobs (2× conflict-winners, 2× filtered write, 1×
-    # aggregate) are pure fixed cost at that size and were the dominant
-    # term of the compaction wall time.  Above the threshold the carry
-    # is the original STREAMING pipeline (newest-gen-wins + tombstones
-    # applied map-side, partitioned write_parquet), with the
-    # conflict-winner shuffle paid ONCE and shared by both writes.
-    stats_dir = os.path.join(new_dir, "docstats")
-    store_dir = os.path.join(new_dir, "docstore")
-    os.makedirs(stats_dir, exist_ok=True)
-    os.makedirs(store_dir, exist_ok=True)
-    carry_bytes = (_table_bytes(out_dir, gen_list, "docstats")
-                   + _table_bytes(out_dir, gen_list, "docstore"))
-    if carry_bytes <= LIVE_CARRY_DRIVER_MAX_BYTES:
-        cdoc, cwin = _conflict_winners_driver(out_dir, gen_list)
-        tdoc, tdead = tomb
-        stats_tbl = _live_table_driver(out_dir, gen_list, "docstats",
-                                       cdoc, cwin, tdoc, tdead)
-        pq.write_table(stats_tbl,
-                       os.path.join(stats_dir, "part-00000.parquet"))
-        n_docs = stats_tbl.num_rows
-        total_dlq = int(stats_tbl["dl_q"].to_numpy().sum()) if n_docs else 0
-        store_tbl = _live_table_driver(out_dir, gen_list, "docstore",
-                                       cdoc, cwin, tdoc, tdead)
-        pq.write_table(store_tbl,
-                       os.path.join(store_dir, "part-00000.parquet"))
-        n_turns = store_tbl.num_rows
-    else:
-        from ray.data.aggregate import Count, Sum
-
-        cdoc, cwin = _conflict_winners(out_dir, gen_list)
-        pre = (cdoc, cwin, tomb[0], tomb[1])
-        live_docs_ds(out_dir, "docstats",
-                     _precomputed=pre).write_parquet(stats_dir)
-        stats_files = [f for f in os.listdir(stats_dir)
-                       if f.endswith(".parquet")]
-        if stats_files:
-            agg = (ray.data.read_parquet(stats_dir, columns=["dl_q"])
-                   .aggregate(Sum("dl_q", alias_name="t"),
-                              Count(alias_name="n")))
-        else:
-            agg = None   # all docs tombstoned: write_parquet left no files
-        n_docs = int(agg["n"] or 0) if agg else 0
-        total_dlq = int(agg["t"] or 0) if agg else 0
-        live_docs_ds(out_dir, "docstore",
-                     _precomputed=pre).write_parquet(store_dir)
-        n_turns = sum(pq.read_metadata(os.path.join(store_dir, f)).num_rows
-                      for f in os.listdir(store_dir)
-                      if f.endswith(".parquet"))
-    avgdl = float(np.float64(total_dlq) / 4.0 / np.float64(max(1, n_docs)))
-
-    from .build import _partitions
-
+    n_docs, total_dlq = _live_totals(out_dir, gen_list, tomb)
+    avgdl = _avgdl(n_docs, total_dlq)
+    tomb_ref = ray.put(tomb)
+    # the live docstats + docstore carry (one masked copy per input file,
+    # one output file per table) runs beside the posting merge
+    carry = ray.remote(num_cpus=1)(_carry_live)
+    carried = []
+    for subdir in ("docstats", "docstore"):
+        os.makedirs(os.path.join(new_dir, subdir))
+        carried.append(carry.remote(
+            out_dir, gen_list, subdir, tomb_ref,
+            os.path.join(new_dir, subdir, "part-00000.parquet")))
     task = ray.remote(num_cpus=1)(_merge_partition)
-    rows = [row for res in ray.get([
-        task.remote(gen_dirs, part, union_hot, tomb, cfg, avgdl, new_dir,
-                    fingerprint) for part in _partitions(cfg)])
-        for row in res]
+    merged = [task.remote(gen_dirs, part, union_hot, tomb_ref, cfg, avgdl,
+                          new_dir, fingerprint)
+              for part in _partitions(cfg)]
+    _, n_turns = ray.get(carried)
+    rows = [row for res in ray.get(merged) for row in res]
     n_terms = sum(r["n_terms"] for r in rows)
     n_postings = sum(r["n_postings"] for r in rows)
     meta = dict(base_meta)

@@ -583,9 +583,9 @@ def _carry_gen(prev: IndexSearcher, cur: IndexSearcher) -> int | None:
     into ``cur``'s lists; else None.  They do when ``prev``'s generations
     are a prefix of ``cur``'s with the same files, no tombstone of
     ``prev``'s is gone or lowered, and every new or raised one kills at
-    least that generation (``delete_docs`` always writes the newest), so
-    re-masking the list at that generation kills exactly the postings a
-    fresh merge would."""
+    least that generation (``delete_docs`` writes the newest, an add the
+    one before its own), so re-masking the list at that generation kills
+    exactly the postings a fresh merge would."""
     old = [(g.gen, g.files) for g in prev._gens]
     if [(g.gen, g.files) for g in cur._gens[:len(old)]] != old:
         return None

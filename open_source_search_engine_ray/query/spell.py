@@ -6,10 +6,10 @@ corrections for query terms that miss or hit rare dictionary entries.
 The Ray-native analogue:
 
 - **Vocabulary build** (``build_vocab``): one streaming pass over the
-  index's LIVE docstore (newest-generation-wins + tombstones applied,
-  the same view every other maintenance job reads) — map-side partial
-  term counts (a per-batch numpy ``unique`` combine, so the shuffle
-  carries one row per distinct term per batch, not per occurrence),
+  index's LIVE docstore (tombstones applied, the same view every other
+  maintenance job reads) — map-side partial term counts (a per-batch
+  numpy ``unique`` combine, so the shuffle carries one row per distinct
+  term per batch, not per occurrence),
   one ``groupby(term)`` Sum, then ``sort(cf desc).limit(max_terms)``.
   The capped vocabulary (suggestion dictionaries only ever want the
   frequent head — exactly the reference's popularity dictionary) is

@@ -185,6 +185,16 @@ def spill_postings(transcripts_ds, spill_dir: str, docstore_dir: str,
     writers = [writer_cls.remote(i, spill_dir, docstore_dir, config,
                                  stats_dir)
                for i in range(num_writers)]
+    # the pool was sized from a free-CPU reading that can lag an actor
+    # just placed: writers that cannot start would leave the ray.get
+    # below waiting forever
+    _, pending = ray.wait([w.__ray_ready__.remote() for w in writers],
+                          num_returns=len(writers), timeout=FREE_CPU_WAIT_S)
+    if pending:
+        for w in writers:
+            ray.kill(w)
+        raise _no_free_cpus(ray.available_resources().get("CPU", 0.0),
+                            ray.cluster_resources().get("CPU", 0.0))
     splits = transcripts_ds.streaming_split(num_writers, equal=False)
     futs = [w.consume.remote(s) for w, s in zip(writers, splits)]
     files: list[str] = []
@@ -239,12 +249,16 @@ def reserve_spill_writers() -> int:
             collected = True
         time.sleep(0.1)
     if fits == 0:
-        raise RuntimeError(
-            f"spill build needs {WRITER_CPUS + 1:g} free CPUs (one writer "
-            f"× {WRITER_CPUS} + 1 read task) but {free:g} of the "
-            f"session's {total:g} are free; stop the actors holding them "
-            f"or start Ray with more CPUs")
+        raise _no_free_cpus(free, total)
     return fits
+
+
+def _no_free_cpus(free: float, total: float) -> RuntimeError:
+    return RuntimeError(
+        f"spill build needs {WRITER_CPUS + 1:g} free CPUs (one writer "
+        f"× {WRITER_CPUS} + 1 read task) but {free:g} of the "
+        f"session's {total:g} are free; stop the actors holding them "
+        f"or start Ray with more CPUs")
 
 
 # above this row count the doc-stat partial merge goes through a Ray

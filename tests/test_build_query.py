@@ -559,18 +559,19 @@ def test_explain(test_index, salted_index, oracle, monkeypatch):
     assert list(d1) == list(d2) and list(s1) == list(s2)
 
 
-def test_build_without_free_cpus_fails_loudly(ray_session, monkeypatch):
-    """An actor holding the session's CPUs starves the spill writers and
-    their read tasks: the build must raise, naming the free and needed
-    CPUs, instead of waiting forever (a watchdog thread turns a hang
-    into a failure)."""
+def _build_while_cpus_held(monkeypatch, wait_s: float,
+                           watchdog_s: float) -> list:
+    """Run ``build_index`` while an actor holds every session CPU, with
+    ``FREE_CPU_WAIT_S`` = ``wait_s`` → its outcome (None or the
+    ``RuntimeError``); a watchdog thread turns a hang of more than
+    ``watchdog_s`` into a failure."""
     import threading
 
     import ray
 
     from open_source_search_engine_ray.stages import spill
 
-    monkeypatch.setattr(spill, "FREE_CPU_WAIT_S", 1.0, raising=False)
+    monkeypatch.setattr(spill, "FREE_CPU_WAIT_S", wait_s, raising=False)
 
     @ray.remote(num_cpus=ray.cluster_resources()["CPU"])
     class Holder:
@@ -593,11 +594,36 @@ def test_build_without_free_cpus_fails_loudly(ray_session, monkeypatch):
         assert ray.get(holder.ready.remote(), timeout=60)
         th = threading.Thread(target=run, daemon=True)
         th.start()
-        th.join(timeout=60)
+        th.join(timeout=watchdog_s)
         assert not th.is_alive(), "build_index hung without free CPUs"
     finally:
         ray.kill(holder)
+    shutil.rmtree(idx, ignore_errors=True)
+    return outcome
+
+
+def test_build_without_free_cpus_fails_loudly(ray_session, monkeypatch):
+    """An actor holding the session's CPUs starves the spill writers and
+    their read tasks: the build must raise, naming the free and needed
+    CPUs, instead of waiting forever."""
+    outcome = _build_while_cpus_held(monkeypatch, 1.0, 60)
     assert outcome and isinstance(outcome[0], RuntimeError), outcome
     msg = str(outcome[0])
     assert "free CPUs" in msg and "of the session's" in msg, msg
-    shutil.rmtree(idx, ignore_errors=True)
+
+
+def test_stale_free_cpu_reading_fails_loudly(ray_session, monkeypatch):
+    """A free-CPU reading that still shows every CPU free while an actor
+    holds them all sizes a writer pool that cannot start: the build must
+    raise once the writers have not started within ``FREE_CPU_WAIT_S``,
+    instead of waiting forever."""
+    import ray
+
+    real = ray.available_resources
+    readings = iter([ray.cluster_resources()])
+    monkeypatch.setattr(ray, "available_resources",
+                        lambda: next(readings, None) or real())
+    outcome = _build_while_cpus_held(monkeypatch, 2.0, 2.0 + 30)
+    assert outcome and isinstance(outcome[0], RuntimeError), outcome
+    msg = str(outcome[0])
+    assert "free CPUs" in msg and "of the session's" in msg, msg

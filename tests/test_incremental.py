@@ -129,46 +129,71 @@ def test_segment_merge_compaction(incr_index, live_oracle, ray_session):
     shutil.rmtree(idx5, ignore_errors=True)
 
 
-def test_carry_gate_counts_uncompressed_bytes(incr_index):
-    """compact_merge's in-process carry materializes decoded tables, so
-    its gate counts the Parquet row groups' uncompressed bytes — for a
-    text docstore more than the compressed files take on disk."""
-    import os
+def test_compact_merge_carries_live_tables(incr_index):
+    """compact_merge carries exactly the live rows: the compacted docstore
+    holds the live corpus's (conv_id, turn_idx) rows and its docstats the
+    live doc ids — the rows the streaming live view (the input of the
+    spell vocabulary and of doclang) yields on the uncompacted index."""
+    import pyarrow.dataset as pads
 
-    from open_source_search_engine_ray.index.merge import (_table_bytes,
-                                                           gen_dir)
+    from open_source_search_engine_ray.index.merge import live_docs_ds
 
-    gen_list = read_generations(incr_index)["generations"]
-    on_disk = 0
-    for g in gen_list:
-        d = os.path.join(gen_dir(incr_index, g["gen"]), "docstore")
-        on_disk += sum(os.path.getsize(os.path.join(d, f))
-                       for f in os.listdir(d))
-    assert on_disk > 0
-    assert _table_bytes(incr_index, gen_list, "docstore") > on_disk
+    live = _live_table()
+    want = sorted(zip(live["conv_id"].to_pylist(),
+                      live["turn_idx"].to_pylist()))
+    want_ids = sorted(int(d) for d in doc_ids_for_convs(
+        sorted(set(live["conv_id"].to_pylist()))))
+    view = live_docs_ds(incr_index, "docstore").to_pandas()
+    assert sorted(zip(view["conv_id"], view["turn_idx"])) == want
+
+    idx8 = IDX + "_carrytables"
+    shutil.rmtree(idx8, ignore_errors=True)
+    shutil.copytree(IDX, idx8)
+    compact_merge(idx8)
+    store = pads.dataset(os.path.join(idx8, "docstore"),
+                         format="parquet").to_table()
+    assert sorted(zip(store["conv_id"].to_pylist(),
+                      store["turn_idx"].to_pylist())) == want
+    stats = pads.dataset(os.path.join(idx8, "docstats"),
+                         format="parquet").to_table()
+    assert sorted(stats["doc_id"].to_pylist()) == want_ids
+    shutil.rmtree(idx8, ignore_errors=True)
 
 
-def test_update_documents(ray_session):
-    """update = tombstone + readd: the updated corpus scores like a fresh
-    build over it (respider/annihilation analogue)."""
-    from open_source_search_engine_ray.index.build import build_index
-    from open_source_search_engine_ray.index.merge import update_documents
+def _assert_no_duplicate_postings(se) -> None:
+    """No merged list of a reference-set term holds a doc id twice."""
+    from open_source_search_engine_ray.query.parse import parse_query
 
-    idx6 = IDX + "_upd"
+    for qid, q, _ in query_set():
+        for t in parse_query(q, se.config.bigram_weight,
+                             position_mode=se.config.position_mode).terms:
+            tp = se.get_postings(t.term_id)
+            if tp is not None:
+                assert len(np.unique(tp.doc_ids)) == len(tp.doc_ids), \
+                    (qid, t.term_id)
+
+
+def test_readd_replaces_live_version(ray_session):
+    """An add is an upsert: re-adding conversations 10..19 onto a
+    100-conversation index replaces their live versions, so the index
+    scores like the oracle over conversations 0..99 and no merged list
+    holds a doc twice — before and after compact_merge."""
+    idx6 = IDX + "_readd"
     shutil.rmtree(idx6, ignore_errors=True)
     build_index(lambda: transcripts_dataset(100), idx6,
-                input_token="upd:base")
-    # "re-crawl" convs 10..19 (same deterministic content → revival path)
-    update_documents(
-        idx6, lambda: transcripts_dataset_range(10, 20),
-        input_token="upd:delta")
-    oracle = OracleIndex(generate_conv_rows(np.arange(100)))
+                input_token="readd:base")
+    # "re-crawl" convs 10..19 (same deterministic content)
+    add_documents(idx6, lambda: transcripts_dataset_range(10, 20),
+                  input_token="readd:delta")
+    assert read_generations(idx6)["live_stats"]["n_docs"] == 100
     se = IndexSearcher(idx6)
-    assert se.n_docs == oracle.n_docs and se.avgdl == oracle.avgdl
-    for qid, q, k in query_set():
-        d1, s1 = se.search(q, k)
-        d2, s2 = oracle.search(q, k)
-        assert list(d1) == list(d2) and list(s1) == list(s2), qid
+    _assert_oracle(se, list(range(100)))
+    _assert_no_duplicate_postings(se)
+    se = None
+    compact_merge(idx6)
+    se = IndexSearcher(idx6)
+    _assert_oracle(se, list(range(100)))
+    _assert_no_duplicate_postings(se)
     shutil.rmtree(idx6, ignore_errors=True)
 
 
@@ -634,7 +659,8 @@ def test_low_tombstone_disables_carry(ray_session):
         "dead_upto_gen": pa.array([0], type=pa.int32())})])
     pq.write_table(tomb, path)
     refresh_stats(idx)
-    assert len(read_tombstones(idx)[0]) == 2
+    # the add's 20 (convs 60..79, dead up to 0), conv 4's and conv 12's
+    assert len(read_tombstones(idx)[0]) == 22
     se = IndexSearcher(idx)
     assert se._since is None and _carried_keys(se) == []
     _assert_like_fresh(se, idx, _merged_keys(prev))
