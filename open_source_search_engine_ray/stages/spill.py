@@ -187,16 +187,18 @@ def spill_postings(transcripts_ds, spill_dir: str, docstore_dir: str,
                for i in range(num_writers)]
     # the pool was sized from a free-CPU reading that can lag an actor
     # just placed: writers that cannot start would leave the ray.get
-    # below waiting forever
-    _, pending = ray.wait([w.__ray_ready__.remote() for w in writers],
-                          num_returns=len(writers), timeout=FREE_CPU_WAIT_S)
+    # below waiting forever.  Asked before the split is set up, so the
+    # writers start while it is.
+    started = [w.__ray_ready__.remote() for w in writers]
+    splits = transcripts_ds.streaming_split(num_writers, equal=False)
+    futs = [w.consume.remote(s) for w, s in zip(writers, splits)]
+    _, pending = ray.wait(started, num_returns=len(started),
+                          timeout=FREE_CPU_WAIT_S)
     if pending:
         for w in writers:
             ray.kill(w)
         raise _no_free_cpus(ray.available_resources().get("CPU", 0.0),
                             ray.cluster_resources().get("CPU", 0.0))
-    splits = transcripts_ds.streaming_split(num_writers, equal=False)
-    futs = [w.consume.remote(s) for w, s in zip(writers, splits)]
     files: list[str] = []
     stat_tables: list[pa.Table] = []
     n_turns = 0
