@@ -76,8 +76,7 @@ def main(argv=None) -> int:
                        help="add documents in a new generation; a document "
                             "already in the index is replaced")
     a.add_argument("--index", required=True)
-    a.add_argument("--input", required=True,
-                   help="parquet file/dir of transcripts")
+    a.add_argument("--input", required=True)
 
     c = sub.add_parser("compact")
     c.add_argument("--index", required=True)
