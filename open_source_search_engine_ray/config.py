@@ -40,8 +40,11 @@ class IndexConfig:
     # on-disk segment format version: part of the config hash, so caches,
     # resume fingerprints and index directories invalidate when the segment
     # layout changes (v3: Parquet list columns, no varbyte blobs; v4: hot
-    # terms of partition p live in shards P + p × num_salts + salt)
-    format_version: int = 4
+    # terms of partition p live in shards P + p × num_salts + salt; v5:
+    # Arrow IPC segment files, never released, but cached indexes of it
+    # exist, so the number is not reused; v6: a segment row holds only the
+    # term id and its lists, in 128-row groups)
+    format_version: int = 6
     # BM25 parameters (the scoring contract; see functions/bm25.py)
     k1: float = 1.2
     b: float = 0.75
@@ -58,12 +61,12 @@ class IndexConfig:
     # groups when it occurs in at least this fraction of the input turns
     # AND its list holds at least num_salts × block_size × 4 docs (4096 by
     # default: each split keeps ≥ 4 blocks, and lists this long get block
-    # maxima recomputed after the query-side merge).  Below the floor a
+    # maxima computed after the query-side merge).  Below the floor a
     # split list only multiplies the reads that fetch it.  Both counts are
     # exact: the encode stage decides, after merging every posting.
     hot_df_ratio: float = 0.05
     num_salts: int = 8
-    # postings per block for block-max metadata (WAND pruning)
+    # postings per block of the block maxima a fetch computes (WAND pruning)
     block_size: int = 128
     # index bigram phrase terms (Phrases.cpp analogue)
     index_bigrams: bool = True

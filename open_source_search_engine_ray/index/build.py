@@ -139,7 +139,7 @@ def _hot_terms(groups: dict, n_turns: int, config: IndexConfig) -> np.ndarray:
 
 
 def _write_partition(groups: dict | None, part: int, hot: np.ndarray,
-                     config: IndexConfig, avgdl: float, out_dir: str,
+                     config: IndexConfig, out_dir: str,
                      fingerprint: str) -> list[dict]:
     """Encode and write partition ``part``: the (term, doc) groups
     (sorted by term, doc) of ``hot`` terms split by doc % S into
@@ -169,8 +169,7 @@ def _write_partition(groups: dict | None, part: int, hot: np.ndarray,
                 flat, offs = ragged_select(flat, offs, sel)
             seg = encode_from_groups(
                 groups["term"][sel], groups["doc_ids"][sel],
-                groups["dl"][sel], groups["tfs"][sel], flat, np.diff(offs),
-                config, salt, avgdl)
+                groups["dl"][sel], groups["tfs"][sel], flat, np.diff(offs))
             path = mf.segment_path(out_dir, shard)
             write_segment(seg, path)
             n_terms, nbytes = seg.num_rows, os.path.getsize(path)
@@ -187,7 +186,7 @@ def _write_partition(groups: dict | None, part: int, hot: np.ndarray,
 
 
 def _encode_partition(tbl: pa.Table | None, part: int, config: IndexConfig,
-                      avgdl: float, n_turns: int, dl, out_dir: str,
+                      n_turns: int, dl, out_dir: str,
                       fingerprint: str) -> list[dict]:
     """THE build's encode step, for the spill and the small path alike:
     attach doc lengths (``dl`` = sorted doc_ids, float32 dl) to
@@ -205,7 +204,7 @@ def _encode_partition(tbl: pa.Table | None, part: int, config: IndexConfig,
             tbl.append_column("dl", pa.array(vals, pa.float32())), config)
     hot = (np.zeros(0, dtype=np.uint64) if groups is None
            else _hot_terms(groups, n_turns, config))
-    return _write_partition(groups, part, hot, config, avgdl, out_dir,
+    return _write_partition(groups, part, hot, config, out_dir,
                             fingerprint)
 
 
@@ -245,7 +244,7 @@ def _load_dl_partition(dl_dir: str, salt: int,
 
 
 def _encode_shard_chunk(run_files: list[str], parts: list[int],
-                        out_dir: str, config: IndexConfig, avgdl: float,
+                        out_dir: str, config: IndexConfig,
                         n_turns: int, fingerprint: str, dl) -> list[dict]:
     """Merge+encode a chunk of partitions from the spilled runs (one Ray
     task; the ``RdbMerge``/``posdbMerge_r`` analogue).  ``dl`` is either
@@ -261,7 +260,7 @@ def _encode_shard_chunk(run_files: list[str], parts: list[int],
     by_part = read_shards(run_files, parts)
     out = []
     for part in parts:
-        out.extend(_encode_partition(by_part.get(part), part, config, avgdl,
+        out.extend(_encode_partition(by_part.get(part), part, config,
                                      n_turns, dl, out_dir, fingerprint))
     return out
 
@@ -417,7 +416,7 @@ def _build_small_fused(table: pa.Table, out_dir: str, config: IndexConfig,
         sel = np.flatnonzero(shard_col == part)
         tbl = postings.take(pa.array(sel)) if len(sel) else None
         summary.extend(_encode_partition(
-            tbl, part, config, avgdl, n_turns, (doc_ids_sorted, dl32),
+            tbl, part, config, n_turns, (doc_ids_sorted, dl32),
             out_dir, fingerprint))
     phase_sec["encode"] = round(time.time() - t, 3)
     return summary, {"n_docs": n_docs, "total_dlq": total_dlq,
@@ -576,7 +575,7 @@ def _build_fused_spill(transcripts_ds_factory, out_dir: str,
             return chunks
 
         task = ray.remote(num_cpus=1)(_encode_shard_chunk)
-        args = (out_dir, config, avgdl, n_turns, fingerprint)
+        args = (out_dir, config, n_turns, fingerprint)
         if config.salt_all_terms:
             # salt-aligned chunks: a task's partitions share one salt, so
             # it loads exactly one dl partition (1/S of the corpus)
@@ -715,7 +714,13 @@ def load_meta(out_dir: str) -> dict:
     if found != IndexConfig.format_version:
         raise ValueError(
             f"index {out_dir} has format_version {found}; this engine "
-            f"reads format_version {IndexConfig.format_version} (hot terms "
-            f"of partition p in shards P + p × num_salts + salt) — rebuild "
-            f"the index with build_index")
+            f"reads format_version {IndexConfig.format_version} (segment "
+            f"rows of term id and lists only, no stored block maxima) — "
+            f"rebuild the index with build_index")
     return meta
+
+
+def index_config(meta: dict) -> IndexConfig:
+    """The :class:`IndexConfig` an index's meta records."""
+    cfg = meta["config"]
+    return IndexConfig(**{**cfg, "field_weights": tuple(cfg["field_weights"])})

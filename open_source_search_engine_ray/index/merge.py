@@ -10,8 +10,8 @@ generations:
 - deletes are tombstones ``(doc_id, dead_upto_gen)`` (negative keys with the
   del-bit, ``Rdb.h:76-88``, ``Posdb.h:226-228``): rows of generations
   ≤ ``dead_upto_gen`` for that doc are dead; a later re-add revives the doc;
-- every add is an upsert: it tombstones its docs' versions in the older
-  generations (the reindex's negative keys for the old document, the
+- every add is an upsert: it tombstones its docs' live versions in the
+  older generations (the reindex's negative keys for the old document, the
   ``XmlDoc`` old-doc diff → ``Rdb`` annihilation), so one version of a doc
   is live and tombstones are the only liveness rule;
 - global scoring stats (live N, avgdl) are refreshed from the
@@ -34,8 +34,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..config import IndexConfig, NUM_FIELDS
-from .build import build_index, load_meta
+from ..config import IndexConfig
+from .build import build_index, index_config, load_meta
 
 GENERATIONS_FILE = "generations.json"
 TOMBSTONES_FILE = "tombstones.parquet"
@@ -94,14 +94,18 @@ def gen_dir(out_dir: str, gen: int) -> str:
 
 
 def read_tombstones(out_dir: str):
-    """→ (doc_ids sorted uint64, dead_upto_gen int32) or empty arrays."""
+    """→ (doc_ids sorted uint64, dead_upto_gen int32) or empty arrays:
+    each tombstoned doc once, at the highest generation it is dead up
+    to."""
     path = os.path.join(out_dir, TOMBSTONES_FILE)
     if not os.path.exists(path):
         return (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int32))
-    df = pq.read_table(path).to_pandas()
-    agg = df.groupby("doc_id")["dead_upto_gen"].max().sort_index()
-    return (agg.index.to_numpy().astype(np.uint64),
-            agg.to_numpy().astype(np.int32))
+    t = pq.read_table(path)
+    doc = t["doc_id"].to_numpy().astype(np.uint64)
+    order = np.argsort(doc, kind="stable")
+    uniq, first = np.unique(doc[order], return_index=True)
+    dead = t["dead_upto_gen"].to_numpy().astype(np.int32)[order]
+    return uniq, np.maximum.reduceat(dead, first) if len(uniq) else dead
 
 
 def _append_tombstones(out_dir: str, doc_ids, dead_upto_gen: int) -> None:
@@ -120,6 +124,13 @@ def _append_tombstones(out_dir: str, doc_ids, dead_upto_gen: int) -> None:
     os.replace(tmp, path)
 
 
+def _layout(cfg: IndexConfig) -> tuple:
+    """(num_partitions, num_salts, salt_all_terms): compact_merge merges
+    partition p of every generation into partition p, so every
+    generation has the base index's."""
+    return cfg.num_partitions, cfg.num_salts, cfg.salt_all_terms
+
+
 def add_documents(out_dir: str, transcripts_ds_factory, *,
                   input_token: str,
                   config: IndexConfig | None = None) -> dict:
@@ -130,22 +141,13 @@ def add_documents(out_dir: str, transcripts_ds_factory, *,
     prev_gen = max(g["gen"] for g in gens["generations"])
     new_gen = prev_gen + 1
     sub = gen_dir(out_dir, new_gen)
-    base_meta = load_meta(out_dir)
-    cfg = config or IndexConfig(**{
-        **base_meta["config"],
-        "field_weights": tuple(base_meta["config"]["field_weights"])})
-    # compact_merge merges partition p of every generation into partition
-    # p, so the partition layout must match the base index
-    base_cfg = base_meta["config"]
-    if (cfg.num_partitions != base_cfg["num_partitions"]
-            or cfg.num_salts != base_cfg["num_salts"]
-            or cfg.salt_all_terms != bool(base_cfg.get("salt_all_terms"))):
+    base_cfg = index_config(load_meta(out_dir))
+    cfg = config or base_cfg
+    if _layout(cfg) != _layout(base_cfg):
         raise ValueError(
             "add_documents: generation partitioning must match the base "
-            f"index (base num_partitions={base_cfg['num_partitions']} "
-            f"num_salts={base_cfg['num_salts']} "
-            f"salt_all={bool(base_cfg.get('salt_all_terms'))}, got "
-            f"{cfg.num_partitions}/{cfg.num_salts}/{cfg.salt_all_terms})")
+            f"index (num_partitions, num_salts, salt_all_terms: base "
+            f"{_layout(base_cfg)}, got {_layout(cfg)})")
     import pyarrow.dataset as pads
 
     from .build import SMALL_BUILD_MAX_ROWS
@@ -156,11 +158,17 @@ def add_documents(out_dir: str, transcripts_ds_factory, *,
     meta = build_index(transcripts_ds_factory, sub, cfg,
                        input_token=input_token,
                        small_input_max_rows=SMALL_BUILD_MAX_ROWS)
-    # the new versions replace the live ones before the generation is
-    # registered, so no reader sees a doc twice
-    new_docs = pads.dataset(os.path.join(sub, "docstats"),
-                            format="parquet").to_table(columns=["doc_id"])
-    _append_tombstones(out_dir, new_docs["doc_id"].to_numpy(), prev_gen)
+    # the new versions replace the live older ones before the generation
+    # is registered, so no reader sees a doc twice; a new doc replaces
+    # nothing and writes no tombstone
+    new_ids = pads.dataset(os.path.join(sub, "docstats"), format="parquet"
+                           ).to_table(columns=["doc_id"])["doc_id"].to_numpy()
+    held = np.zeros(len(new_ids), dtype=bool)
+    for t in _live_files(out_dir, gens["generations"], "docstats",
+                         read_tombstones(out_dir), ["doc_id"]):
+        held |= np.isin(new_ids, t["doc_id"].to_numpy())
+    if held.any():
+        _append_tombstones(out_dir, new_ids[held], prev_gen)
     gens["generations"].append({"gen": new_gen,
                                 "dir": os.path.relpath(sub, out_dir),
                                 "input_token": input_token,
@@ -340,48 +348,46 @@ def merge_postings(parts, tomb, with_positions: bool = True,
     tombstone kills in its generation (:func:`live_keep_mask`; an add
     tombstones the versions it replaces), then the survivors are
     concatenated and stably sorted by docId — by (term, docId) with
-    ``by_term``, for parts of many terms — so equal keys keep part order.  The searchers, the fan-out
-    coordinator and compaction all merge here.
+    ``by_term``, for parts of many terms — so equal keys keep part
+    order; a lone, fully live part is already sorted and comes back as
+    it is, its arrays uncopied.  The searchers, the fan-out coordinator
+    and compaction all merge here.
 
     → ``doc_ids``, ``tfs``, ``dl`` (+ ``term`` with ``by_term``,
-    ``positions`` = (flat, offsets) with ``with_positions``) and
-    ``block_max``: the part's stored block maxima when exactly one part
-    survives, untouched; else None.  ``None`` when nothing survives."""
+    ``positions`` = (flat, offsets) with ``with_positions``); ``None``
+    when nothing survives."""
     from ..functions.ragged import ragged_concat, ragged_select
 
     tdoc, tdead = tomb
     cols = ("term", "doc_ids", "tfs", "dl") if by_term else (
         "doc_ids", "tfs", "dl")
-    kept: dict[str, list] = {c: [] for c in cols}
-    pos, block_max = [], None
+    kept: dict[str, list] = {c: [] for c in cols + (
+        ("positions",) if with_positions else ())}
     for gen, d in parts:
         alive = live_keep_mask(d["doc_ids"], gen, tdoc, tdead)
         if not alive.any():
             continue
         whole = bool(alive.all())
-        block_max = d["block_max"] if whole else None
-        for c in cols:
-            kept[c].append(d[c][alive])
-        if with_positions:
-            flat, offs = d["positions"]
-            pos.append((flat, offs) if whole else
-                       ragged_select(flat, offs, np.flatnonzero(alive)))
+        for c, v in kept.items():
+            v.append(d[c] if whole else d[c][alive] if c != "positions"
+                     else ragged_select(*d[c], np.flatnonzero(alive)))
     if not kept["doc_ids"]:
         return None
+    if len(kept["doc_ids"]) == 1 and whole:
+        return {c: v[0] for c, v in kept.items()}
+    pos = kept.pop("positions", None)
     out = {c: np.concatenate(v) for c, v in kept.items()}
     order = (np.lexsort((out["doc_ids"], out["term"])) if by_term
              else np.argsort(out["doc_ids"], kind="stable"))
     out = {c: v[order] for c, v in out.items()}
-    if with_positions:
+    if pos is not None:
         out["positions"] = ragged_select(*ragged_concat(pos), order)
-    out["block_max"] = block_max if len(kept["doc_ids"]) == 1 else None
     return out
 
 
 def _merge_partition(gen_dirs: list[tuple[int, str]], part: int,
                      union_hot: np.ndarray, tomb, config: IndexConfig,
-                     avgdl: float, new_dir: str,
-                     fingerprint: str) -> list[dict]:
+                     new_dir: str, fingerprint: str) -> list[dict]:
     """Merge partition ``part`` of every generation — its own shard and
     its hot shards, where every posting of its terms lives in any
     generation — and write it back split under the union hot set."""
@@ -408,7 +414,7 @@ def _merge_partition(gen_dirs: list[tuple[int, str]], part: int,
     p = np.uint64(config.num_partitions)
     return _write_partition(merge_postings(gen_parts(), tomb, by_term=True),
                             part, union_hot[union_hot % p == part], config,
-                            avgdl, new_dir, fingerprint)
+                            new_dir, fingerprint)
 
 
 def compact_merge(out_dir: str) -> dict:
@@ -421,9 +427,7 @@ def compact_merge(out_dir: str) -> dict:
     from .build import _avgdl, _partitions
 
     base_meta = load_meta(out_dir)
-    cfg = IndexConfig(**{**base_meta["config"],
-                         "field_weights":
-                         tuple(base_meta["config"]["field_weights"])})
+    cfg = index_config(base_meta)
     gens = read_generations(out_dir)
     tomb = read_tombstones(out_dir)
     gen_list = sorted(gens["generations"], key=lambda g: g["gen"])
@@ -432,17 +436,11 @@ def compact_merge(out_dir: str) -> dict:
     for gen, d in gen_dirs:
         m = load_meta(d)
         hot_union.update(m["hot_terms"])
-        gen_salt_all = bool(m["config"].get("salt_all_terms"))
-        if (m["num_partitions"] != cfg.num_partitions
-                or m["num_salts"] != cfg.num_salts
-                or gen_salt_all != cfg.salt_all_terms):
+        if _layout(index_config(m)) != _layout(cfg):
             raise ValueError(
                 f"compact_merge: generation {gen} partitioning "
-                f"({m['num_partitions']}/{m['num_salts']}"
-                f"/salt_all={gen_salt_all}) differs from the base index "
-                f"({cfg.num_partitions}/{cfg.num_salts}"
-                f"/salt_all={cfg.salt_all_terms}); rebuild with compact() "
-                "instead")
+                f"{_layout(index_config(m))} differs from the base index "
+                f"{_layout(cfg)}; rebuild with compact() instead")
     union_hot = np.asarray(sorted(hot_union), dtype=np.uint64)
 
     new_dir = out_dir + ".compacting"
@@ -463,7 +461,7 @@ def compact_merge(out_dir: str) -> dict:
             out_dir, gen_list, subdir, tomb_ref,
             os.path.join(new_dir, subdir, "part-00000.parquet")))
     task = ray.remote(num_cpus=1)(_merge_partition)
-    merged = [task.remote(gen_dirs, part, union_hot, tomb_ref, cfg, avgdl,
+    merged = [task.remote(gen_dirs, part, union_hot, tomb_ref, cfg,
                           new_dir, fingerprint)
               for part in _partitions(cfg)]
     _, n_turns = ray.get(carried)
@@ -497,9 +495,7 @@ def compact(out_dir: str, config: IndexConfig | None = None) -> dict:
     import ray.data
 
     base_meta = load_meta(out_dir)
-    cfg = config or IndexConfig(**{
-        **base_meta["config"],
-        "field_weights": tuple(base_meta["config"]["field_weights"])})
+    cfg = config or index_config(base_meta)
     # stream the live docstore to a partitioned corpus dir (doc_id is
     # recomputed by the build's tokenize stage, so drop it) — never a
     # single driver-materialized table

@@ -1,24 +1,26 @@
 """Posting-list segment files: encode (build side) and read (query side).
 
 A segment file is one Parquet file per shuffle shard holding one row per
-(term_id, salt).  Each row carries the term's df, cf and max_tfq and its
-posting list as Arrow list columns: absolute docIds, float32 doc lengths,
-field-major per-field tfs, per-doc position counts and position gaps, and
-float32 per-block max impacts.
+term: the term id and its posting list as Arrow list columns — absolute
+docIds, float32 doc lengths, field-major per-field tfs, per-doc position
+counts and position gaps — and nothing else, like the reference's posdb
+keys, which hold only the key and its payload (``Posdb.h:3-51``).  df
+is the list's length and cf its tf sum; block maxima for the pruned
+plans are computed from the merged list when it is fetched.
 
 Integer list columns are written ``DELTA_BINARY_PACKED`` under zstd, so
 the sorted docIds keep the delta compression of the reference's
 prefix-compressed termlists (``Posdb.h:230-235``, ``RdbList.h:13-47``)
-with no hand-written codec.  The block-max column replaces
-per-candidate upper-bound scans (``PosdbTable.cpp:4102-4264``).
+with no hand-written codec.
 
-Rows are sorted by term_id.  A reader keeps the file's term dictionary
-resident — the sorted ``term_id`` column and each row group's first row,
-read once at open — the per-file key index of the reference (``RdbMap``,
-``RdbMap.h:1-50``; ``RdbIndex``, ``RdbIndex.h:21-60``).  A term lookup is
-then a binary search: a term the file lacks costs no I/O, and a term it
-holds costs one read of its row group, of only the columns the query
-scores, sliced to the term's row.
+Rows are sorted by term_id, in row groups of ``ROW_GROUP_ROWS`` rows
+written without min/max statistics.  A reader keeps the file's term
+dictionary resident — the sorted ``term_id`` column and each row group's
+first row, read once at open — the per-file key index of the reference
+(``RdbMap``, ``RdbMap.h:1-50``; ``RdbIndex``, ``RdbIndex.h:21-60``).  A
+term lookup is then a binary search: a term the file lacks costs no I/O,
+and a term it holds costs one read of its small row group, of only the
+columns the query scores, sliced to the term's row.
 
 Files are immutable once written, so readers are shared: every searcher
 in a process that opens the same file (same path, inode, size and
@@ -44,10 +46,6 @@ from ..functions.ragged import ragged_arange
 
 SEGMENT_SCHEMA = pa.schema([
     ("term_id", pa.uint64()),
-    ("salt", pa.int32()),
-    ("df", pa.int64()),
-    ("cf", pa.int64()),
-    ("max_tfq", pa.int64()),
     # one value per posting, docIds absolute and ascending
     ("doc_ids", pa.large_list(pa.uint64())),
     ("dl", pa.large_list(pa.float32())),
@@ -57,27 +55,26 @@ SEGMENT_SCHEMA = pa.schema([
     # each doc's first position (stored absolute)
     ("pos_counts", pa.large_list(pa.uint32())),
     ("pos_deltas", pa.large_list(pa.uint32())),
-    # one value per block of config.block_size postings
-    ("block_max", pa.large_list(pa.float32())),
 ])
 
 # what the query path reads; compaction reads the whole table.  A read
 # takes term_id from the reader's resident dictionary, not the file
-QUERY_COLUMNS = ["term_id", "doc_ids", "dl", "tfs", "block_max"]
+QUERY_COLUMNS = ["term_id", "doc_ids", "dl", "tfs"]
 POSITION_COLUMNS = ["pos_counts", "pos_deltas"]
+# rows per row group: the unit one term read decodes
+ROW_GROUP_ROWS = 128
 _EMPTY = SEGMENT_SCHEMA.empty_table()
 _DELTA_COLUMNS = ["doc_ids", "tfs", "pos_counts", "pos_deltas"]
 
 
-def encode_shard(postings: pa.Table, config: IndexConfig, salt: int,
-                 avgdl: float) -> pa.Table:
+def encode_shard(postings: pa.Table, config: IndexConfig) -> pa.Table:
     """Encode one shard's posting partials into segment rows."""
     g = merge_partials(postings, config)
     if g is None:
         return SEGMENT_SCHEMA.empty_table()
     flat, offs = g["positions"]
     return encode_from_groups(g["term"], g["doc_ids"], g["dl"], g["tfs"],
-                              flat, np.diff(offs), config, salt, avgdl)
+                              flat, np.diff(offs))
 
 
 def merge_partials(postings: pa.Table, config: IndexConfig) -> dict | None:
@@ -165,19 +162,14 @@ def merge_partials(postings: pa.Table, config: IndexConfig) -> dict | None:
 
 def encode_from_groups(g_term: np.ndarray, g_doc: np.ndarray,
                        g_dl: np.ndarray, tfs: np.ndarray,
-                       flat_pos: np.ndarray, grp_pos_counts: np.ndarray,
-                       config: IndexConfig, salt: int,
-                       avgdl: float) -> pa.Table:
+                       flat_pos: np.ndarray,
+                       grp_pos_counts: np.ndarray) -> pa.Table:
     """Encode already-merged (term, doc) groups (sorted by term then doc)
     into segment rows.  Shared by the build path (``merge_partials``) and
     segment-level compaction (index/merge.py) — same rows either way."""
     if len(g_term) == 0:
         return SEGMENT_SCHEMA.empty_table()
     n_td = len(g_term)
-    wq = np.asarray([int(round(w * 4)) for w in config.field_weights],
-                    dtype=np.int64)
-    tfq = tfs @ wq
-
     # term boundaries over the (term,doc) groups: each term's postings are
     # one list, so the list offsets are the term starts
     new_t = np.empty(n_td, dtype=bool)
@@ -185,12 +177,9 @@ def encode_from_groups(g_term: np.ndarray, g_doc: np.ndarray,
     new_t[1:] = g_term[1:] != g_term[:-1]
     t_starts = np.flatnonzero(new_t)
     post_offs = np.append(t_starts, n_td).astype(np.int64)
-    df_per_term = np.diff(post_offs)
-    n_terms = len(t_starts)
-    k1, b, bs = config.k1, config.b, config.block_size
 
     tf_vals = np.empty(NUM_FIELDS * n_td, dtype=np.uint32)
-    tf_vals[_field_major_index(df_per_term)] = tfs
+    tf_vals[_field_major_index(np.diff(post_offs))] = tfs
 
     # position gaps, restarting at each doc's first position
     grp_pos_offsets = np.concatenate([[0], np.cumsum(grp_pos_counts)])
@@ -200,31 +189,12 @@ def encode_from_groups(g_term: np.ndarray, g_doc: np.ndarray,
     firsts = grp_pos_offsets[:-1][grp_pos_counts > 0]
     pos_deltas[firsts] = pos[firsts]
 
-    # per-block max impacts (block-max WAND metadata)
-    s_all = _scores_noidf(tfq.astype(np.float64) / 4.0, g_dl, avgdl, k1, b)
-    nblocks = (df_per_term + bs - 1) // bs
-    blk_starts = (np.repeat(t_starts, nblocks) +
-                  ragged_arange(nblocks) * bs).astype(np.int64)
-    bm_all = np.maximum.reduceat(s_all, blk_starts)
-    bm32 = bm_all.astype(np.float32)
-    low = bm32.astype(np.float64) < bm_all
-    bm32[low] = np.nextafter(bm32[low], np.float32(np.inf))
-    bm_offs = np.concatenate([[0], np.cumsum(nblocks)])
-
-    # per-term cf / max_tfq via segmented reductions
-    cf_all = np.add.reduceat(tfs.sum(axis=1), t_starts)
-    maxtfq_all = np.maximum.reduceat(tfq, t_starts)
-
     def lists(offsets, values, value_type):
         return pa.LargeListArray.from_arrays(
             pa.array(offsets, pa.int64()), pa.array(values, value_type))
 
     return pa.table({
         "term_id": g_term[t_starts],
-        "salt": np.full(n_terms, salt, dtype=np.int32),
-        "df": df_per_term,
-        "cf": cf_all.astype(np.int64),
-        "max_tfq": maxtfq_all.astype(np.int64),
         "doc_ids": lists(post_offs, g_doc, pa.uint64()),
         "dl": lists(post_offs, g_dl.astype(np.float32), pa.float32()),
         "tfs": lists(NUM_FIELDS * post_offs, tf_vals, pa.uint32()),
@@ -232,15 +202,7 @@ def encode_from_groups(g_term: np.ndarray, g_doc: np.ndarray,
                             pa.uint32()),
         "pos_deltas": lists(grp_pos_offsets[post_offs],
                             pos_deltas.astype(np.uint32), pa.uint32()),
-        "block_max": lists(bm_offs, bm32, pa.float32()),
     }, schema=SEGMENT_SCHEMA)
-
-
-def _scores_noidf(tf_w: np.ndarray, dl_w: np.ndarray, avgdl: float,
-                  k1: float, b: float) -> np.ndarray:
-    from ..functions.bm25 import term_scores
-
-    return term_scores(tf_w, dl_w, avgdl, k1, b, 1.0)
 
 
 def _field_major_index(df: np.ndarray) -> np.ndarray:
@@ -258,8 +220,9 @@ def write_segment(table: pa.Table, path: str) -> None:
     final-name pattern of ``RdbBase``)."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".writing.%d" % os.getpid()
-    pq.write_table(table, tmp, row_group_size=512, compression="zstd",
-                   use_dictionary=False,
+    pq.write_table(table, tmp, row_group_size=ROW_GROUP_ROWS,
+                   compression="zstd", use_dictionary=False,
+                   write_statistics=False,
                    column_encoding={f"{c}.list.element": "DELTA_BINARY_PACKED"
                                     for c in _DELTA_COLUMNS})
     os.replace(tmp, path)
@@ -275,8 +238,12 @@ class SegmentReader:
         self._pf = pq.ParquetFile(path)
         schema = self._pf.schema_arrow
         if not schema.equals(SEGMENT_SCHEMA):
-            found = ("format_version 2 (varbyte blob columns)"
-                     if "doc_blob" in schema.names else "an unknown layout")
+            if "block_max" in schema.names:
+                found = "format_version 4 (stored block maxima)"
+            elif "doc_blob" in schema.names:
+                found = "format_version 2 (varbyte blob columns)"
+            else:
+                found = "an unknown layout"
             raise ValueError(
                 f"segment {path} has {found}; this engine reads "
                 f"format_version {IndexConfig.format_version} list columns "
@@ -306,26 +273,31 @@ class SegmentReader:
         Terms the file lacks cost no I/O; the rest cost one read of the
         row groups holding them."""
         cols = QUERY_COLUMNS + (POSITION_COLUMNS if with_positions else [])
+        if len(term_ids) == 1:
+            # the query path's read: one search, one row group, one slice
+            t = np.uint64(term_ids[0])
+            i = int(np.searchsorted(self._terms, t))
+            if i == len(self._terms) or self._terms[i] != t:
+                return _EMPTY.select(cols)
+            rg = int(np.searchsorted(self._rg_start, i, side="right")) - 1
+            tbl = self._pf.read_row_groups([rg], columns=cols[1:],
+                                           use_threads=False)
+            return tbl.slice(i - int(self._rg_start[rg]), 1).add_column(
+                0, "term_id", pa.array(self._terms[i:i + 1]))
         want = np.unique(np.asarray(term_ids, dtype=np.uint64))
         lo = np.searchsorted(self._terms, want, side="left")
         rows = lo[np.searchsorted(self._terms, want, side="right") > lo]
         if len(rows) == 0:
             return _EMPTY.select(cols)
-        # the row groups to read, and each row's index in the read: its
-        # offset in its row group plus the rows of the groups before it
-        rgs, which = np.unique(
-            np.searchsorted(self._rg_start, rows, side="right") - 1,
-            return_inverse=True)
-        sizes = self._rg_start[rgs + 1] - self._rg_start[rgs]
-        local = (rows - self._rg_start[rgs][which]
-                 + (np.cumsum(sizes) - sizes)[which])
+        rgs = np.unique(
+            np.searchsorted(self._rg_start, rows, side="right") - 1)
+        # the file rows the read returns: its row groups', in order
+        read = np.concatenate([np.arange(self._rg_start[g],
+                                         self._rg_start[g + 1]) for g in rgs])
         tbl = self._pf.read_row_groups(rgs.tolist(), columns=cols[1:],
                                        use_threads=False)
-        if local[-1] - local[0] + 1 == len(local):
-            tbl = tbl.slice(int(local[0]), len(local))
-        else:
-            tbl = tbl.take(pa.array(local))
-        return tbl.add_column(0, "term_id", pa.array(self._terms[rows]))
+        return tbl.take(pa.array(np.searchsorted(read, rows))).add_column(
+            0, "term_id", pa.array(self._terms[rows]))
 
     def read_table(self) -> pa.Table:
         """Every row and column (compaction)."""
@@ -370,13 +342,33 @@ def _list_values(tbl: pa.Table, name: str) -> np.ndarray:
     return arr.flatten().to_numpy()
 
 
+def _row_values(row: pa.Table, name: str) -> np.ndarray:
+    """Zero-copy numpy view of list column ``name``'s values in a one-row
+    table, cut from the child array at the row's list offsets."""
+    arr = row[name].chunk(0)
+    lo, hi = arr.offsets.to_numpy()
+    return arr.values.to_numpy()[lo:hi]
+
+
+def _positions(counts: np.ndarray, deltas: np.ndarray) -> tuple:
+    """Per-doc position counts and gaps → (flat uint64, offsets int64)."""
+    counts = counts.astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    # one cumsum over every doc's gaps, then subtract each doc's running
+    # total before its first (absolute) position
+    flat = np.cumsum(deltas, dtype=np.uint64)
+    nz = counts > 0
+    firsts = offsets[:-1][nz]
+    flat -= np.repeat(flat[firsts] - deltas[firsts], counts[nz])
+    return flat, offsets
+
+
 def decode_posting_table(tbl: pa.Table, with_positions: bool = False) -> dict:
     """Decode every row of a segment table into flat per-posting arrays.
 
     Returns ``term`` and ``doc_ids`` uint64, ``tfs`` (n, NUM_FIELDS) int64,
-    ``dl`` float32, ``block_max`` float32 (the rows' blocks concatenated)
-    and, with positions, ``positions`` = (flat uint64, offsets int64 of
-    len n+1).  ``doc_ids``, ``dl`` and ``block_max`` view the table's
+    ``dl`` float32 and, with positions, ``positions`` = (flat uint64,
+    offsets int64 of len n+1).  ``doc_ids`` and ``dl`` view the table's
     buffers: a caller that keeps one copies it.
     """
     docs = _list_values(tbl, "doc_ids")
@@ -387,23 +379,25 @@ def decode_posting_table(tbl: pa.Table, with_positions: bool = False) -> dict:
         "doc_ids": docs,
         "tfs": tf_vals[_field_major_index(df)].astype(np.int64),
         "dl": _list_values(tbl, "dl"),
-        "block_max": _list_values(tbl, "block_max"),
     }
     if with_positions:
-        counts = _list_values(tbl, "pos_counts").astype(np.int64)
-        deltas = _list_values(tbl, "pos_deltas")
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        # one cumsum over every doc's gaps, then subtract each doc's
-        # running total before its first (absolute) position
-        flat = np.cumsum(deltas, dtype=np.uint64)
-        nz = counts > 0
-        firsts = offsets[:-1][nz]
-        flat -= np.repeat(flat[firsts] - deltas[firsts], counts[nz])
-        out["positions"] = (flat, offsets)
+        out["positions"] = _positions(_list_values(tbl, "pos_counts"),
+                                      _list_values(tbl, "pos_deltas"))
     return out
 
 
 def decode_posting_row(row: pa.Table, with_positions: bool = False) -> dict:
-    """Decode one segment row (a one-row table slice) — the per-row view
-    of :func:`decode_posting_table` the query path calls."""
-    return decode_posting_table(row, with_positions)
+    """Decode one segment row (a one-row table slice) — the query path's
+    decode: :func:`decode_posting_table`'s arrays without ``term``, cut
+    at the row's list offsets, ``tfs`` a transpose of the field-major
+    row.  Every array owns its memory, so a cache holding one does not
+    pin the read's buffers."""
+    docs = _row_values(row, "doc_ids").copy()
+    out = {"doc_ids": docs,
+           "tfs": _row_values(row, "tfs").reshape(
+               NUM_FIELDS, len(docs)).T.astype(np.int64),
+           "dl": _row_values(row, "dl").copy()}
+    if with_positions:
+        out["positions"] = _positions(_row_values(row, "pos_counts"),
+                                      _row_values(row, "pos_deltas"))
+    return out

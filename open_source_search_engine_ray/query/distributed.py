@@ -27,13 +27,6 @@ from .kernel import evaluate  # noqa: F401
 from .parse import parse_query  # noqa: F401
 
 
-def _owned(part: dict) -> dict:
-    """A decoded part with every array copied out of the segment read's
-    buffers, so the parts cache holds only the bytes it counts."""
-    return {k: tuple(a.copy() for a in v) if isinstance(v, tuple)
-            else v.copy() for k, v in part.items()}
-
-
 class ShardServer:
     """Owns ``shard_ids`` of every generation; serves decoded parts."""
 
@@ -49,7 +42,7 @@ class ShardServer:
         hit = self._cache.get(key, MISSING)
         if hit is not MISSING:
             return hit
-        out = [(g.gen, _owned(d)) for g in self._gens
+        out = [(g.gen, d) for g in self._gens
                for d in g.raw_postings(term_id, with_positions, self.owned)]
         self._cache.put(key, out)
         return out

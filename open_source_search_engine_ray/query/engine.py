@@ -45,7 +45,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..config import IndexConfig
-from ..index.build import hot_shards, load_meta
+from ..index.build import hot_shards, index_config, load_meta
 from ..index.manifest import segment_path
 from ..index.merge import (gen_dir, merge_postings, read_generations,
                            read_tombstones)
@@ -346,9 +346,9 @@ class _GenIndex:
                   else None)
             if rd is None or term_id not in rd:
                 continue
-            tbl = rd.read_terms([term_id], with_positions=with_positions)
-            decoded.extend(decode_posting_row(tbl.slice(i, 1), with_positions)
-                           for i in range(tbl.num_rows))
+            decoded.append(decode_posting_row(
+                rd.read_terms([term_id], with_positions=with_positions),
+                with_positions))
         return decoded
 
 
@@ -602,10 +602,8 @@ def _carry_gen(prev: IndexSearcher, cur: IndexSearcher) -> int | None:
 
 
 def _as_part(tp: TermPostings, with_positions: bool) -> dict:
-    """A merged list as one :func:`merge_postings` part, without its block
-    maxima (they hold for the avgdl it was scored with)."""
-    part = {"doc_ids": tp.doc_ids, "tfs": tp.tfs, "dl": tp.dl,
-            "block_max": None}
+    """A merged list as one :func:`merge_postings` part."""
+    part = {"doc_ids": tp.doc_ids, "tfs": tp.tfs, "dl": tp.dl}
     if with_positions:
         part["positions"] = tp.positions
     return part
@@ -622,7 +620,7 @@ class IndexSearcher:
     exact for it (:func:`_carry_gen`), the most recent that fit its own
     budget.  A carried list's first fetch merges it, re-masked by the
     current tombstones, with the parts of only the generations added
-    since, and recomputes its block maxima at the current avgdl.  A
+    since, and computes its block maxima at the current avgdl.  A
     compaction or rebuild changes the files, so nothing is carried.
     ``carried`` counts the lists served from a carried entry.
     Subclasses (the fan-out coordinator) neither take over nor hand over
@@ -632,9 +630,7 @@ class IndexSearcher:
         self.index_dir = index_dir
         self._gens = open_generations(index_dir)
         self.meta = self._gens[0].meta
-        cfg = dict(self.meta["config"])
-        cfg["field_weights"] = tuple(cfg["field_weights"])
-        self.config = IndexConfig(**cfg)
+        self.config = index_config(self.meta)
         live = read_generations(index_dir).get("live_stats")
         if live:
             self.n_docs = int(live["n_docs"])
@@ -723,26 +719,17 @@ class IndexSearcher:
                      with_positions: bool) -> TermPostings | None:
         """One term's ``(gen, decoded part)`` list → its live postings,
         merged by :func:`index.merge.merge_postings`, with block maxima
-        for the pruned plans."""
+        at the current avgdl when the list is long enough for the
+        pruned plans (``BLOCK_MAX_MIN_DF``)."""
         m = merge_postings(parts, (self.tomb_doc, self.tomb_dead),
                            with_positions)
         if m is None:
             return None
-        # stored block maxima are admissible only for an untouched
-        # single-generation single-split list scored with the build avgdl
-        stored_ok = (m["block_max"] is not None and len(self._gens) == 1
-                     and len(self.tomb_doc) == 0
-                     and float(self.meta["avgdl"]) == self.avgdl)
         tp = TermPostings(
             doc_ids=m["doc_ids"], tfs=m["tfs"], dl=m["dl"],
-            df=int(len(m["doc_ids"])), positions=m.get("positions"),
-            # a copy: the decoded block maxima view the segment read's
-            # buffers, which the cache budget does not count
-            block_max=m["block_max"].copy() if stored_ok else None)
-        if tp.block_max is None and tp.df >= BLOCK_MAX_MIN_DF:
-            # recompute (once, cached): salted/merged/maintained lists keep
-            # a pruning path too — the cost is one scan, amortized across
-            # queries hitting this term
+            df=int(len(m["doc_ids"])), positions=m.get("positions"))
+        if tp.df >= BLOCK_MAX_MIN_DF:
+            # once per fetch, cached with the list
             from ..functions.bm25 import max_block_impact
 
             wq = np.asarray([int(round(w * 4))

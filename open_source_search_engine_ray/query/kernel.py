@@ -49,8 +49,8 @@ class TermPostings:
 # below this summed-df the exhaustive union scan is cheaper than building
 # impact orders (tests lower it to force the impact-ordered path)
 IMPACT_UNION_MIN_POSTINGS = 100_000
-# lists this long take the block-max walk for a one-term query, and get
-# block maxima recomputed when the stored ones do not apply.  Below it the
+# lists this long get block maxima, computed at fetch, and take the
+# block-max walk for a one-term query.  Below it the
 # walk costs more than exact scoring: on the sf0.1 index it was slower at
 # every df up to 4k and mostly faster from 6.6k.  Tests lower it to reach
 # both on a small index.

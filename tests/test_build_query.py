@@ -75,13 +75,17 @@ def test_rank_identity(test_index, oracle):
     assert n_nonempty >= 8  # the query set actually exercises the corpus
 
 
-def test_cached_lists_own_their_memory(test_index):
+def test_cached_lists_own_their_memory(test_index, monkeypatch):
     """Decode returns views of the segment read's Arrow buffers; a cached
     list must copy them, or it pins buffers the cache budget never
-    counts."""
+    counts.  The block-max floor is lowered so lists carry block maxima
+    computed at fetch."""
     from open_source_search_engine_ray.functions.ghash import (
         TERMID_MASK, hash64_lower_utf8)
+    from open_source_search_engine_ray.query import engine, kernel
 
+    monkeypatch.setattr(engine, "BLOCK_MAX_MIN_DF", 16)
+    monkeypatch.setattr(kernel, "BLOCK_MAX_MIN_DF", 16)
     n_block_max = 0
     for tok in ("w0002", "the", "w0123"):
         tid = int(np.uint64(hash64_lower_utf8(tok)) & TERMID_MASK)
@@ -97,6 +101,38 @@ def test_cached_lists_own_their_memory(test_index):
             for a in arrays:
                 assert a.base is None and a.flags.owndata, tok
     assert n_block_max > 0
+
+
+def test_block_maxima_ignore_salting(test_index, salted_index, monkeypatch):
+    """Block maxima are computed from the merged list at fetch: a term
+    split across salts gets the same ones as the same term unsplit."""
+    from open_source_search_engine_ray.functions.ghash import (
+        TERMID_MASK, hash64_lower_utf8)
+    from open_source_search_engine_ray.query import engine, kernel
+
+    monkeypatch.setattr(engine, "BLOCK_MAX_MIN_DF", 16)
+    monkeypatch.setattr(kernel, "BLOCK_MAX_MIN_DF", 16)
+    # the salted build's config with nothing hot: only the split differs
+    idx = IDX + "_unsplit"
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(lambda: transcripts_dataset(N_CONV), idx,
+                IndexConfig(num_salts=2, block_size=16, hot_df_ratio=2.0),
+                input_token=f"synthetic:n={N_CONV}:unsplit")
+    assert load_meta(idx)["hot_terms"] == []
+    hot = load_meta(salted_index)["hot_terms"]
+    unsplit, salted = IndexSearcher(idx), IndexSearcher(salted_index)
+    assert unsplit.avgdl == salted.avgdl
+    n_hot = 0
+    for tok in ("w0002", "the", "w0042"):
+        tid = int(np.uint64(hash64_lower_utf8(tok)) & TERMID_MASK)
+        a, b = unsplit.get_postings(tid), salted.get_postings(tid)
+        assert np.array_equal(a.doc_ids, b.doc_ids), tok
+        assert a.block_max is not None and b.block_max is not None, tok
+        assert a.block_max.dtype == np.float32
+        assert np.array_equal(a.block_max, b.block_max), tok
+        n_hot += tid in hot
+    assert n_hot > 0
+    shutil.rmtree(idx, ignore_errors=True)
 
 
 def test_field_weight_signal(test_index, oracle):
@@ -411,8 +447,11 @@ def test_build_is_a_function_of_the_corpus(salted_index, ray_session,
 
 
 def test_old_layout_fails_loudly(salted_index, tmp_path):
-    """A format_version 3 index numbered its hot shards by hot-term rank:
-    opening one must fail and ask for a rebuild, not read wrong shards."""
+    """A format_version 3 index numbered its hot shards by hot-term rank,
+    a format_version 4 one stored statistics and block maxima in its
+    segments, and a format_version 5 one wrote Arrow IPC segment files:
+    opening any must fail and ask for a rebuild, not read wrong shards,
+    columns or no files."""
     import json
 
     from open_source_search_engine_ray.index.merge import compact_merge
@@ -423,13 +462,15 @@ def test_old_layout_fails_loudly(salted_index, tmp_path):
     with open(path) as f:
         meta = json.load(f)
     assert meta["hot_terms"]
-    meta["config"]["format_version"] = 3
-    with open(path, "w") as f:
-        json.dump(meta, f)
-    with pytest.raises(ValueError, match="format_version 3.*rebuild"):
-        IndexSearcher(idx)
-    with pytest.raises(ValueError, match="format_version 3.*rebuild"):
-        compact_merge(idx)
+    for version in (3, 4, 5):
+        meta["config"]["format_version"] = version
+        with open(path, "w") as f:
+            json.dump(meta, f)
+        match = f"format_version {version}.*rebuild"
+        with pytest.raises(ValueError, match=match):
+            IndexSearcher(idx)
+        with pytest.raises(ValueError, match=match):
+            compact_merge(idx)
 
 
 def test_pagination_and_total_hits(test_index, oracle):
@@ -519,7 +560,7 @@ def test_resume_skips_spill_after_encode_crash(ray_session, monkeypatch,
 
 def test_explain(test_index, salted_index, oracle, monkeypatch):
     """explain() reports per-term stats and the chosen evaluation path."""
-    from open_source_search_engine_ray.query import kernel
+    from open_source_search_engine_ray.query import engine, kernel
 
     se = IndexSearcher(IDX)
     e = se.explain(SearchRequest("w0042 w0777"))
@@ -530,23 +571,15 @@ def test_explain(test_index, salted_index, oracle, monkeypatch):
     assert se.explain(SearchRequest('"w0042 w0777"'))["phrases"]
     assert se.explain(SearchRequest("(w0042 OR w0777)"))["eval_path"] == \
         "boolean-tree"
-    # the plan explain reports is the plan the kernel runs: the unsplit
-    # list carries stored block maxima, but below BLOCK_MAX_MIN_DF the
-    # block-max walk costs more than exact scoring, so a one-term query
-    # is scored exactly; at or above the floor (lowered here to the
-    # list's df) it walks the block maxima; split across salts it has
-    # none and is scored exactly — with the same results every time
+    # the plan explain reports is the plan the kernel runs: below
+    # BLOCK_MAX_MIN_DF a list gets no block maxima, since the block-max
+    # walk costs more than exact scoring, so a one-term query is scored
+    # exactly, split across salts or not
     d2, s2 = oracle.search("w0002", 10)
     e = se.explain(SearchRequest("w0002"))
     df = e["terms"][0]["df"]
     assert df < kernel.BLOCK_MAX_MIN_DF
     assert (e["plan"], e["eval_path"]) == ("exact", "exact")
-    d1, s1 = se.search("w0002", 10)
-    assert list(d1) == list(d2) and list(s1) == list(s2)
-    monkeypatch.setattr(kernel, "BLOCK_MAX_MIN_DF", df)
-    e = se.explain(SearchRequest("w0002"))
-    assert (e["plan"], e["eval_path"]) == ("blockmax-single",
-                                           "block-max single-term")
     d1, s1 = se.search("w0002", 10)
     assert list(d1) == list(d2) and list(s1) == list(s2)
     assert se.explain(SearchRequest("role:user w0002"))[
@@ -557,6 +590,19 @@ def test_explain(test_index, salted_index, oracle, monkeypatch):
     assert (e["plan"], e["eval_path"]) == ("exact", "exact")
     d1, s1 = salted.search("w0002", 10)
     assert list(d1) == list(d2) and list(s1) == list(s2)
+    # at a floor lowered to the list's df, a fresh fetch computes its
+    # block maxima — one rule, unsplit or split — and the one-term query
+    # walks them, with the same results
+    monkeypatch.setattr(engine, "BLOCK_MAX_MIN_DF", df)
+    monkeypatch.setattr(kernel, "BLOCK_MAX_MIN_DF", df)
+    se = salted = None
+    for idx in (IDX, salted_index):
+        se = IndexSearcher(idx)
+        e = se.explain(SearchRequest("w0002"))
+        assert (e["plan"], e["eval_path"]) == ("blockmax-single",
+                                               "block-max single-term"), idx
+        d1, s1 = se.search("w0002", 10)
+        assert list(d1) == list(d2) and list(s1) == list(s2), idx
 
 
 def _build_while_cpus_held(monkeypatch, wait_s: float,

@@ -106,7 +106,7 @@ def test_golden_postings_roundtrip(tmp_path):
 
     cfg = IndexConfig()
     path = str(tmp_path / "seg.parquet")
-    write_segment(encode_shard(tbl, cfg, 0, 100.0), path)
+    write_segment(encode_shard(tbl, cfg), path)
     assert pq.ParquetFile(path).metadata.num_row_groups >= 2
     rd = SegmentReader(path)
     got = rd.read_terms(list(ref), with_positions=True)
@@ -127,17 +127,67 @@ def test_golden_postings_roundtrip(tmp_path):
             assert flat[offsets[j]:offsets[j + 1]].tolist() == \
                 sorted(exp[x]["pos"])
             n_no_pos += not exp[x]["pos"]
-        assert len(d["block_max"]) == -(-len(docs) // cfg.block_size)
     assert n_no_pos > 0
     # the bulk decode is the per-row decodes concatenated
     bulk = decode_posting_table(got, with_positions=True)
     rows = [decode_posting_row(got.slice(i, 1), with_positions=True)
             for i in range(got.num_rows)]
-    for key in ("doc_ids", "tfs", "dl", "block_max"):
+    for key in ("doc_ids", "tfs", "dl"):
         assert np.array_equal(bulk[key],
                               np.concatenate([r[key] for r in rows]))
     assert np.array_equal(bulk["positions"][0], np.concatenate(
         [r["positions"][0] for r in rows]))
+
+
+def test_lone_part_merge_equals_general_merge(tmp_path):
+    """``merge_postings`` returns a lone, fully live part as it is:
+    equal to the general merge of the same postings as two parts,
+    positions included.  A tombstone in the part takes the general path.
+    The one-row decode copies out of the read's buffers, so what the
+    searcher caches owns its memory, the transposed ``tfs`` included."""
+    from open_source_search_engine_ray.config import IndexConfig
+    from open_source_search_engine_ray.functions.ragged import ragged_select
+    from open_source_search_engine_ray.index.merge import merge_postings
+    from open_source_search_engine_ray.index.segments import (
+        SegmentReader, decode_posting_row, encode_shard, write_segment)
+
+    path = str(tmp_path / "seg.parquet")
+    write_segment(encode_shard(_synthetic_postings(
+        np.random.default_rng(9)), IndexConfig()), path)
+    rd = SegmentReader(path)
+    no_tomb = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int32))
+
+    def part(d, sel):
+        return {"doc_ids": d["doc_ids"][sel], "tfs": d["tfs"][sel],
+                "dl": d["dl"][sel],
+                "positions": ragged_select(*d["positions"], sel)}
+
+    def assert_equal(got, want):
+        for key in ("doc_ids", "tfs", "dl"):
+            assert np.array_equal(got[key], want[key]), key
+        for a, b in zip(got["positions"], want["positions"]):
+            assert np.array_equal(a, b)
+
+    n_lists = 0
+    for t in rd._terms[::40]:
+        d = decode_posting_row(rd.read_terms([int(t)]), with_positions=True)
+        n = len(d["doc_ids"])
+        if n < 2:
+            continue
+        n_lists += 1
+        for a in [d["doc_ids"], d["tfs"], d["dl"], *d["positions"]]:
+            assert a.base is None and a.flags.owndata
+        lone = merge_postings([(0, d)], no_tomb)
+        assert all(lone[key] is d[key] for key in ("doc_ids", "tfs", "dl"))
+        general = merge_postings(
+            [(0, part(d, np.arange(1, n, 2))),
+             (0, part(d, np.arange(0, n, 2)))], no_tomb)
+        assert_equal(lone, general)
+        # the part's first doc dead in its generation
+        tomb = (d["doc_ids"][:1].copy(), np.zeros(1, dtype=np.int32))
+        assert_equal(merge_postings([(0, d)], tomb),
+                     part(d, np.arange(1, n)))
+    assert n_lists > 0
 
 
 def test_segment_encode_is_order_independent():
@@ -150,26 +200,33 @@ def test_segment_encode_is_order_independent():
     tbl = _synthetic_postings(rng)
     shuffled = tbl.take(pa.array(rng.permutation(tbl.num_rows)))
     cfg = IndexConfig()
-    assert encode_shard(tbl, cfg, 3, 80.0).equals(
-        encode_shard(shuffled, cfg, 3, 80.0))
+    assert encode_shard(tbl, cfg).equals(encode_shard(shuffled, cfg))
 
 
 def test_old_segment_format_fails_loudly(tmp_path):
-    """A format_version 2 (varbyte blob) segment is refused on open with
-    an error naming the format, not a KeyError at the first query."""
+    """Segments of format_version 2 (varbyte blobs) and 4 (stored
+    statistics and block maxima) are refused on open with an error naming
+    the format, not a KeyError at the first query."""
     from open_source_search_engine_ray.index.segments import SegmentReader
 
-    v2 = pa.schema([
-        ("term_id", pa.uint64()), ("salt", pa.int32()), ("df", pa.int64()),
-        ("cf", pa.int64()), ("max_tfq", pa.int64()),
+    stats = [("term_id", pa.uint64()), ("salt", pa.int32()),
+             ("df", pa.int64()), ("cf", pa.int64()), ("max_tfq", pa.int64())]
+    v2 = pa.schema(stats + [
         ("doc_blob", pa.large_binary()), ("dl_blob", pa.large_binary()),
         ("tf_blobs", pa.list_(pa.large_binary(), 4)),
         ("cnt_blob", pa.large_binary()), ("pos_blob", pa.large_binary()),
         ("bm_blob", pa.large_binary())])
-    path = str(tmp_path / "seg-v2.parquet")
-    pq.write_table(v2.empty_table(), path)
-    with pytest.raises(ValueError, match="format_version 2.*rebuild"):
-        SegmentReader(path)
+    v4 = pa.schema(stats + [
+        (name, pa.large_list(t)) for name, t in (
+            ("doc_ids", pa.uint64()), ("dl", pa.float32()),
+            ("tfs", pa.uint32()), ("pos_counts", pa.uint32()),
+            ("pos_deltas", pa.uint32()), ("block_max", pa.float32()))])
+    for version, schema in ((2, v2), (4, v4)):
+        path = str(tmp_path / f"seg-v{version}.parquet")
+        pq.write_table(schema.empty_table(), path)
+        with pytest.raises(ValueError,
+                           match=f"format_version {version}.*rebuild"):
+            SegmentReader(path)
 
 
 def test_term_addressed_reads_equal_full_filter(tmp_path):
@@ -189,13 +246,15 @@ def test_term_addressed_reads_equal_full_filter(tmp_path):
     # term ids 5 + 7919·i: one below the min, gaps between terms
     tbl = tbl.set_column(0, "term_id", pc.add(tbl["term_id"], 5))
     path = str(tmp_path / "seg.parquet")
-    write_segment(encode_shard(tbl, IndexConfig(), 0, 100.0), path)
+    write_segment(encode_shard(tbl, IndexConfig()), path)
     md = pq.ParquetFile(path).metadata
     assert md.num_row_groups >= 3
     rd = SegmentReader(path)
     full = rd.read_table()
     terms = full["term_id"].to_numpy()
-    edges = [int(terms[i]) for i in (0, 511, 512, 1023, 1024, -1)]
+    starts = rd._rg_start
+    edges = [int(terms[i]) for i in (0, starts[1] - 1, starts[1],
+                                     starts[2] - 1, starts[2], -1)]
     lo, hi = int(terms.min()), int(terms.max())
     gap = int(terms[100]) + 1
     reads = []
@@ -245,8 +304,8 @@ def test_open_segment_one_reader_per_file(tmp_path):
 
     path = str(tmp_path / "seg.parquet")
     write_segment(encode_shard(_synthetic_postings(
-        np.random.default_rng(3), n_terms=50, n=400), IndexConfig(), 0,
-        100.0), path)
+        np.random.default_rng(3), n_terms=50, n=400), IndexConfig()),
+        path)
     got, start = [], threading.Barrier(8)
 
     def worker():

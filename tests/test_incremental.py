@@ -197,6 +197,39 @@ def test_readd_replaces_live_version(ray_session):
     shutil.rmtree(idx6, ignore_errors=True)
 
 
+def test_fresh_add_writes_no_tombstones(ray_session):
+    """An add tombstones only the doc ids an older generation holds: an
+    add of new conversations leaves the tombstone count unchanged, a
+    re-add grows it by the docs it replaces, and the index scores like
+    the oracle."""
+    from open_source_search_engine_ray.index.merge import read_tombstones
+
+    idx = IDX + "_fresh_add"
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(lambda: transcripts_dataset(40), idx,
+                input_token="fresh-add:base")
+    add_documents(idx, lambda: transcripts_dataset_range(40, 60),
+                  input_token="fresh-add:g1")
+    assert len(read_tombstones(idx)[0]) == 0
+    delete_convs(idx, ["conv-00000003"])
+    add_documents(idx, lambda: transcripts_dataset_range(60, 70),
+                  input_token="fresh-add:g2")
+    assert len(read_tombstones(idx)[0]) == 1
+    # convs 5..7 of generation 0 and 45 of generation 1 replaced
+    add_documents(idx, lambda: transcripts_dataset_range(5, 8),
+                  input_token="fresh-add:g3")
+    add_documents(idx, lambda: transcripts_dataset_range(45, 46),
+                  input_token="fresh-add:g4")
+    tdoc, tdead = read_tombstones(idx)
+    want = doc_ids_for_convs([f"conv-{i:08d}" for i in (3, 5, 6, 7, 45)])
+    assert sorted(tdoc.tolist()) == sorted(int(d) for d in want)
+    se = IndexSearcher(idx)
+    _assert_oracle(se, [i for i in range(70) if i != 3])
+    _assert_no_duplicate_postings(se)
+    se = None
+    shutil.rmtree(idx, ignore_errors=True)
+
+
 def test_mismatched_partitioning_rejected(incr_index):
     """add_documents must refuse a generation whose partition layout
     differs from the base index (compact_merge merges same-numbered
@@ -659,8 +692,8 @@ def test_low_tombstone_disables_carry(ray_session):
         "dead_upto_gen": pa.array([0], type=pa.int32())})])
     pq.write_table(tomb, path)
     refresh_stats(idx)
-    # the add's 20 (convs 60..79, dead up to 0), conv 4's and conv 12's
-    assert len(read_tombstones(idx)[0]) == 22
+    # conv 4's and conv 12's: the add of new convs 60..79 wrote none
+    assert len(read_tombstones(idx)[0]) == 2
     se = IndexSearcher(idx)
     assert se._since is None and _carried_keys(se) == []
     _assert_like_fresh(se, idx, _merged_keys(prev))

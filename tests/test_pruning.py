@@ -31,13 +31,20 @@ def _lists(se, pq):
     return se._collect_lists(pq, pq.position_term_ids(), None, None)[0]
 
 
-def test_pruned_equals_exact(searcher):
-    se = searcher
+def test_pruned_equals_exact(searcher, monkeypatch):
+    """Every plan is result-identical to the exact scan.  The block-max
+    floor is lowered so a fresh searcher's fetches compute block maxima
+    and one-term queries take ``blockmax-single``."""
+    from open_source_search_engine_ray.query import engine, kernel
+
+    monkeypatch.setattr(engine, "BLOCK_MAX_MIN_DF", 64)
+    monkeypatch.setattr(kernel, "BLOCK_MAX_MIN_DF", 64)
+    se = IndexSearcher(IDX)
     queries = [q for _, q, _ in query_set()] + [
         "w0003", "w0015", "the", "of", "w0000", "roleonlyterm_user",
         # multi-term all-optional → MaxScore candidate path
         "the of and", "to be or not", "the w0000 of", "is it not and the"]
-    n_pruned_applicable = 0
+    plans = []
     for q in queries:
         for k in (3, 10, 50):
             pq = parse_query(q, se.config.bigram_weight)
@@ -48,12 +55,8 @@ def test_pruned_equals_exact(searcher):
                                       se.config, k, prune=True)
             assert list(d_exact) == list(d_fast), (q, k)
             assert list(s_exact) == list(s_fast), (q, k)
-            if (len(pq.terms) == 1 and not pq.phrases):
-                tp = lists.get(pq.terms[0].term_id)
-                if tp is not None and tp.block_max is not None \
-                        and tp.df > 4 * k:
-                    n_pruned_applicable += 1
-    assert n_pruned_applicable > 0  # the fast path actually ran
+            plans.append(kernel.select_plan(pq, lists, k))
+    assert "blockmax-single" in plans  # the fast path actually ran
 
 
 def test_impact_ordered_union_identical(searcher, monkeypatch):
