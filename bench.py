@@ -128,15 +128,6 @@ def run_headline(sf_dir: str, num_cpus: int, full: bool = True,
             reps_b.append(time.time() - t)
         out["worst_query_budgeted_ms"] = round(min(reps_b) * 1000, 2)
         out["worst_query_budgeted_partial"] = bool(partial)
-        # EXACT intra-query parallelism (docId-range split, Msg39
-        # analogue) on the same worst query — unbudgeted, rank-identical
-        se.search(worst_q, 10, n_ranges="auto")  # pay the ray.put once
-        reps_p = []
-        for _ in range(3):
-            t = time.time()
-            se.search(worst_q, 10, n_ranges="auto")
-            reps_p.append(time.time() - t)
-        out["worst_query_parallel_ms"] = round(min(reps_p) * 1000, 2)
 
     # batch throughput (all queries through the distributed actor pool)
     t0 = time.time()

@@ -51,9 +51,6 @@ def main(argv=None) -> int:
     q.add_argument("--snippets", action="store_true")
     q.add_argument("--timeout-ms", type=float, default=None,
                    help="query deadline; expired fetches -> partial")
-    q.add_argument("--parallel", action="store_true",
-                   help="exact docId-range-split evaluation across Ray "
-                        "tasks (Msg39 range-split analogue)")
     q.add_argument("--qlang", default=None,
                    help="query language: weights non-matching docs by "
                         "--lang-weight via the per-doc language prior")
@@ -101,7 +98,6 @@ def main(argv=None) -> int:
                      "--snippets, --facets")
         opts = dict(timeout_ms=args.timeout_ms,
                     max_list_bytes=args.max_list_bytes,
-                    n_ranges="auto" if args.parallel else None,
                     qlang=args.qlang, lang_weight=args.lang_weight)
         if args.facets is not None:
             opts.update(facet=args.facets, k_facets=args.k)

@@ -33,10 +33,12 @@ def ensure_index(sf_dir: str, config: IndexConfig | None = None) -> str:
     return idx_dir
 
 
-def transcripts_bm25_topk(sf_dir: str):
-    """→ (query_id, rank, doc_id, score) for the reference query set."""
+def _ranked_rows(sf_dir: str, queries: list[tuple[str, str, int]]):
+    """→ (query_id, rank, doc_id, score) of ``queries`` through the
+    actor pool of :func:`evaluate_queries_distributed`, scores rounded
+    to 6 places."""
     idx_dir = ensure_index(sf_dir)
-    ds = evaluate_queries_distributed(idx_dir, query_set(), concurrency=4)
+    ds = evaluate_queries_distributed(idx_dir, queries, concurrency=4)
 
     def finalize(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()
@@ -46,6 +48,11 @@ def transcripts_bm25_topk(sf_dir: str):
         return b
 
     return ds.map_batches(finalize, batch_format="pandas")
+
+
+def transcripts_bm25_topk(sf_dir: str):
+    """→ (query_id, rank, doc_id, score) for the reference query set."""
+    return _ranked_rows(sf_dir, query_set())
 
 
 def transcripts_bm25_prox_topk(sf_dir: str):
@@ -248,29 +255,12 @@ def transcripts_doc_prior_topk(sf_dir: str):
 
 
 def transcripts_search_parallel(sf_dir: str):
-    """→ (query_id, rank, doc_id, score) via the EXACT docId-range-split
-    parallel path (``SearchRequest.n_ranges`` — the
-    ``Msg39.cpp:411-466`` per-query docid-range split).  Must equal
-    ``transcripts_bm25_topk`` row for row (rank identity is the pytest
-    gate, tests/test_distributed.py); rows-only driver check."""
-    from ..query.engine import IndexSearcher
-
-    idx_dir = ensure_index(sf_dir)
-    se = IndexSearcher(idx_dir)
-    out = {"query_id": [], "rank": [], "doc_id": [], "score": []}
-    for qid, q, k in query_set()[:8]:
-        docs, scores = se.search(q, k, n_ranges=4)
-        for r, (d, s) in enumerate(zip(docs, scores), start=1):
-            out["query_id"].append(qid)
-            out["rank"].append(r)
-            out["doc_id"].append(int(d))
-            out["score"].append(round(float(s), 6))
-    return pa.table({
-        "query_id": pa.array(out["query_id"], pa.string()),
-        "rank": pa.array(out["rank"], pa.int64()),
-        "doc_id": pa.array(out["doc_id"], pa.int64()),
-        "score": pa.array(out["score"], pa.float64()),
-    })
+    """→ (query_id, rank, doc_id, score) for the first 8 reference
+    queries, evaluated in parallel across queries by the
+    ``QueryEvalStage`` actor pool, as :func:`transcripts_bm25_topk`.  It
+    equals that entry's rows for those queries (the pytest gate,
+    tests/test_pipelines.py)."""
+    return _ranked_rows(sf_dir, query_set()[:8])
 
 
 def transcripts_search_lang(sf_dir: str):

@@ -118,11 +118,9 @@ class LruBytesCache:
             self._bytes -= ent[1]
         return ent[0]
 
-    def put(self, key, value, size: int | None = None) -> None:
-        """Insert ``value``; ``size`` overrides the estimate when the
-        stored object is a handle (e.g. a Ray ObjectRef) whose real
-        payload lives elsewhere."""
-        size = approx_nbytes(value) if size is None else int(size)
+    def put(self, key, value) -> None:
+        """Insert ``value``, sized by :func:`approx_nbytes`."""
+        size = approx_nbytes(value)
         with self._lock:
             old = self._d.pop(key, None)
             if old is not None:

@@ -22,8 +22,12 @@ Every query is one :class:`SearchRequest` run through one staged
 pipeline, :meth:`IndexSearcher.run` — parse → fetch → restrict → evaluate
 → post, the ``SearchInput::set`` → ``Msg39Request`` → ``Msg39::
 getDocIds2``/``controlLoop`` shape of the reference (``Msg39.h:23-90``,
-``Msg39.cpp:308-466``).  The fan-out coordinator
-(query/distributed.py) is the same searcher with another fetch stage.
+``Msg39.cpp:308-466``).  A request runs one in-process evaluator; the
+reference's per-query docId-range split across hosts
+(``Msg39.cpp:411-466``) has no counterpart in this term-partitioned
+engine, whose parallelism is across queries (the actor pool below) and
+across servers.  The fan-out coordinator (query/distributed.py) is the
+same searcher with another fetch stage.
 
 It is used three ways: driver-side single-query latency (bench p50);
 inside a Ray actor pool for batch evaluation
@@ -44,14 +48,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import pyarrow as pa
 
-from ..config import IndexConfig
 from ..index.build import hot_shards, index_config, load_meta
 from ..index.manifest import segment_path
 from ..index.merge import (gen_dir, merge_postings, read_generations,
                            read_tombstones)
 from ..index.segments import (SegmentReader, decode_posting_row,
                                file_identity, live_reader, open_segment)
-from .cache import MISSING, LruBytesCache, approx_nbytes
+from .cache import MISSING, LruBytesCache
 from .kernel import (BLOCK_MAX_MIN_DF, TermPostings, candidate_docs,
                      evaluate, evaluate_after, evaluate_rerank, select_plan)
 from .parse import ParsedQuery, parse_query
@@ -79,26 +82,11 @@ def _truncate_postings(tp: TermPostings, max_bytes: int,
     n_keep = max(1, int(max_bytes / per_row))
     if n_keep >= len(tp.doc_ids):
         return tp, False
-    positions = None
-    if tp.positions is not None:
-        from ..functions.ragged import ragged_select
-
-        flat, offs = tp.positions
-        positions = ragged_select(flat, offs,
-                                  np.arange(n_keep, dtype=np.int64))
     # df stays the ORIGINAL term frequency: the reference caps the list
     # READ, never the corpus df — rewriting df would inflate the idf of
     # exactly the hot terms the cap truncates and let capped stopwords
     # dominate the budgeted ranking
-    return TermPostings(
-        doc_ids=tp.doc_ids[:n_keep], tfs=tp.tfs[:n_keep],
-        dl=tp.dl[:n_keep], df=int(tp.df), positions=positions,
-        block_max=None), True
-
-
-# target postings per docId range of the parallel exact path — below
-# this per-range size, task fixed costs beat the kernel time saved
-PARALLEL_MIN_POSTINGS = 150_000
+    return _select_postings(tp, np.arange(n_keep)), True
 
 
 def _check_attr_table(table: tuple, name: str):
@@ -129,9 +117,10 @@ def _attr_join(fids: np.ndarray, fvals: np.ndarray, ids: np.ndarray):
 def _select_postings(tp: TermPostings,
                      sel: np.ndarray) -> TermPostings | None:
     """Postings at sorted row indices ``sel`` (fancy-index copy) — the
-    restricted-list contract shared with :func:`_slice_postings`: ``df``
-    stays GLOBAL (idf unchanged), ``block_max`` dropped (bounds belong
-    to the full list), empty → ``None`` (absent-term semantics)."""
+    one constructor of a cut list (a restriction or a budget cut):
+    ``df`` stays GLOBAL (idf unchanged), ``block_max`` dropped (bounds
+    belong to the full list), empty → ``None`` (absent-term
+    semantics)."""
     if len(sel) == 0:
         return None
     positions = None
@@ -142,137 +131,6 @@ def _select_postings(tp: TermPostings,
     return TermPostings(doc_ids=tp.doc_ids[sel], tfs=tp.tfs[sel],
                         dl=tp.dl[sel], df=int(tp.df),
                         positions=positions, block_max=None)
-
-
-def _slice_postings(tp: TermPostings, lo: int, hi: int
-                    ) -> TermPostings | None:
-    """Postings restricted to docIds in ``[lo, hi)`` — zero-copy views of
-    the docId-sorted arrays (the ragged positions slice is the one copy);
-    ``df`` stays the GLOBAL term frequency, so per-doc idf — and thus the
-    per-doc score — is identical to a whole-corpus evaluation."""
-    i0 = int(np.searchsorted(tp.doc_ids, lo, side="left"))
-    i1 = int(np.searchsorted(tp.doc_ids, hi, side="left"))
-    if i0 == i1:
-        # no postings in this range — identical semantics to a term
-        # absent from the index (required → no candidates, negative →
-        # nothing to exclude), and the kernel's None handling is the
-        # tested path for that
-        return None
-    positions = None
-    if tp.positions is not None:
-        flat, offs = tp.positions
-        o0, o1 = int(offs[i0]), int(offs[i1])
-        positions = (flat[o0:o1], offs[i0:i1 + 1] - o0)
-    return TermPostings(doc_ids=tp.doc_ids[i0:i1], tfs=tp.tfs[i0:i1],
-                        dl=tp.dl[i0:i1], df=int(tp.df),
-                        positions=positions, block_max=None)
-
-
-def _eval_docid_range(refs: dict, pq_: ParsedQuery, lo: int, hi: int,
-                      n_docs: int, avgdl: float, config: IndexConfig,
-                      k: int, prior):
-    """One docId range of a range-split query: slice every term's list to
-    [lo, hi), run the exact kernel, return the range-local top-k.  Term
-    payloads arrive as object refs inside ``refs`` (NOT auto-resolved —
-    ``ray.get`` here is a zero-copy read of the shared numpy arrays)."""
-    import ray
-
-    lists: dict[int, TermPostings | None] = {}
-    for tid, ref in refs.items():
-        if ref is None:
-            lists[tid] = None
-            continue
-        d = ray.get(ref)
-        tp = TermPostings(doc_ids=d["doc_ids"], tfs=d["tfs"], dl=d["dl"],
-                          df=int(d["df"]), positions=d.get("positions"))
-        lists[tid] = _slice_postings(tp, lo, hi)
-    return evaluate(pq_, lists, n_docs, avgdl, config, k, prune=False,
-                    prior=prior)
-
-
-_RANGE_TASK = None
-
-
-def _get_range_task():
-    global _RANGE_TASK
-    if _RANGE_TASK is None:
-        import ray
-
-        _RANGE_TASK = ray.remote(num_cpus=1)(_eval_docid_range)
-    return _RANGE_TASK
-
-
-def _range_count(lists: dict[int, TermPostings | None], n_ranges) -> int:
-    """DocId ranges a split request evaluates over: ``"auto"`` sizes them
-    to ~PARALLEL_MIN_POSTINGS postings (at most 16); below 2 — or with no
-    Ray session — the single-process kernel runs instead."""
-    import ray
-
-    total = sum(len(tp.doc_ids) for tp in lists.values() if tp is not None)
-    if n_ranges == "auto":
-        n_ranges = min(16, total // PARALLEL_MIN_POSTINGS)
-    return int(n_ranges) if total and ray.is_initialized() else 0
-
-
-def parallel_evaluate(pq_: ParsedQuery,
-                      lists: dict[int, TermPostings | None],
-                      n_docs: int, avgdl: float, config: IndexConfig,
-                      k: int, n_ranges: int,
-                      part_refs: LruBytesCache | None, prior=None):
-    """EXACT intra-query parallelism: split the docId space into
-    ``n_ranges`` ranges, evaluate each range in a Ray task over zero-copy
-    slices of the broadcast posting arrays, merge the range top-ks — the
-    reference's per-query docid-range split (``Msg39.cpp:411-466`` splits
-    each query across hosts by docid range; ``JobScheduler.h:26-31`` runs
-    the intersect threads).  BM25F is doc-local (df / N / avgdl stay
-    global, every other input is the doc's own row, a prior multiplies
-    per doc), so the (score desc, docId asc) merge reproduces the
-    single-process ranking exactly.
-
-    ``part_refs`` is the caller's (term, positions?) → ObjectRef cache so
-    repeated queries over hot terms pay ``ray.put`` once; it is an
-    :class:`LruBytesCache` bounded by the PAYLOAD bytes each ref pins in
-    the object store (a count bound would let 256 hot-term lists pin
-    gigabytes), and eviction drops the driver's reference so Ray
-    reclaims the copy.  ``None`` when the lists are not the cached ones
-    (restricted or truncated): their refs must not be reused."""
-    import ray
-
-    from ..functions.bm25 import topk_merge
-
-    # boundaries: quantile docIds of the LARGEST list (the dominant
-    # scan), so ranges carry near-equal work even under docId skew
-    big = max((tp.doc_ids for tp in lists.values()
-               if tp is not None), key=len)
-    cut_idx = np.linspace(0, len(big) - 1,
-                          n_ranges + 1).astype(np.int64)[1:-1]
-    cuts = np.unique(big[cut_idx]).astype(np.uint64)
-    bounds = np.concatenate([[np.uint64(0)], cuts,
-                             [np.uint64(1) << np.uint64(63)]])
-    refs: dict[int, object] = {}
-    for tid, tp in lists.items():
-        if tp is None:
-            refs[tid] = None
-            continue
-        key = (tid, tp.positions is not None)
-        ref = part_refs.get(key) if part_refs is not None else None
-        if ref is None:
-            d = {"doc_ids": tp.doc_ids, "tfs": tp.tfs, "dl": tp.dl,
-                 "df": int(tp.df)}
-            if tp.positions is not None:
-                d["positions"] = tp.positions
-            ref = ray.put(d)
-            if part_refs is not None:
-                part_refs.put(key, ref, size=approx_nbytes(d))
-        refs[tid] = ref
-    task = _get_range_task()
-    futs = [task.remote(refs, pq_, int(lo), int(hi), n_docs,
-                        avgdl, config, k, prior)
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
-    parts = ray.get(futs)
-    docs = np.concatenate([p[0] for p in parts])
-    scores = np.concatenate([p[1] for p in parts])
-    return topk_merge(docs, scores, k)
 
 
 class _GenIndex:
@@ -309,6 +167,10 @@ class _GenIndex:
                 self._readers[shard] = rd
             else:
                 self._unopened[shard] = f.path
+        if not self.files and int(self.meta.get("n_terms", 0)) > 0:
+            raise ValueError(
+                f"{index_dir}: meta counts {self.meta['n_terms']} terms "
+                f"but {seg_dir} holds no part-*.parquet segment file")
 
     def _reader(self, shard: int) -> SegmentReader | None:
         rd = self._readers.get(shard)
@@ -404,9 +266,9 @@ class SearchRequest:
     stay global, so the result is a full-depth ranking filtered to the
     set.
 
-    Evaluate: ``n_ranges`` (an int, or ``"auto"`` to size ranges to
-    ~PARALLEL_MIN_POSTINGS postings) splits the docId space across Ray
-    tasks, exactly (:func:`parallel_evaluate`).  ``after=(score, doc_id)``
+    Evaluate: one in-process evaluator per request — the cursor, the
+    rerank, or :func:`kernel.evaluate` on the plan
+    :func:`kernel.select_plan` picks.  ``after=(score, doc_id)``
     returns the ``k`` results strictly after that cursor
     (``PosdbTable.cpp:3948-3983`` ``minSerpDocId``/``maxSerpScore``); the
     cursor filters BEFORE top-k selection (:func:`kernel.evaluate_after`),
@@ -440,7 +302,6 @@ class SearchRequest:
     timeout_ms: float | None = None
     max_list_bytes: int | None = None
     doc_ids: np.ndarray | list[int] | None = None
-    n_ranges: int | str | None = None
     after: tuple | None = None
     telemetry: dict | None = None
     offset: int = 0
@@ -479,14 +340,13 @@ class SearchRequest:
 _DEFAULTS = [(f.name, f.default) for f in fields(SearchRequest)[1:]]
 # facet and sortby requests answer over the exact matching set: options
 # that only order or page a ranking do not apply to them
-_RANKING = {"rerank", "doc_prior", "qlang", "field_weights", "n_ranges",
-            "after", "telemetry", "offset", "with_total"}
+_RANKING = {"rerank", "doc_prior", "qlang", "field_weights", "after",
+            "telemetry", "offset", "with_total"}
 _FACET = {"facet", "facet_table"}
 # (a, b): a request sets options of a or of b, never of both
 _REFUSED = [
     # one evaluator per request, and one kind of paging
-    ({"after", "telemetry"}, {"offset", "rerank", "n_ranges"}),
-    ({"rerank"}, {"n_ranges"}),
+    ({"after", "telemetry"}, {"offset", "rerank"}),
     # the boost and a static multiplier compose ambiguously
     # (boost-then-multiply vs multiply-then-boost differ)
     ({"rerank"}, {"doc_prior", "qlang"}),
@@ -643,11 +503,6 @@ class IndexSearcher:
         # serving actor can't grow without limit under a distinct-term
         # query stream; hot stopword lists stay resident via recency
         self._cache = LruBytesCache(cache_bytes)
-        # object-store refs of broadcast term payloads for the parallel
-        # exact path (ray.put once, zero-copy read per range task);
-        # byte-bounded like the decoded-list cache — each ref pins its
-        # full payload in the object store until evicted
-        self._part_refs = LruBytesCache(cache_bytes)
         self.carried = 0
         # the newest generation of the searcher whose lists were carried
         # over
@@ -870,8 +725,8 @@ class IndexSearcher:
         if req.field_weights is not None and \
                 tuple(req.field_weights) != tuple(cfg.field_weights):
             cfg = replace(cfg, field_weights=tuple(req.field_weights))
-        exact_lists = partial or req.doc_ids is not None
-        prune = not exact_lists and prior is None and cfg is self.config
+        prune = (not partial and req.doc_ids is None and prior is None
+                 and cfg is self.config)
         k = req.offset + req.k
         args = (pq_, lists, self.n_docs, self.avgdl, cfg)
         if req.after is not None or req.telemetry is not None:
@@ -885,14 +740,6 @@ class IndexSearcher:
                                    prune)
             return evaluate_rerank(*args, k, prune=prune,
                                    oversample=req.oversample)
-        n_ranges = (_range_count(lists, req.n_ranges)
-                    if req.n_ranges is not None else 0)
-        if n_ranges > 1:
-            if plan_only:
-                return "exact"     # every range evaluates exactly
-            return parallel_evaluate(
-                *args, k, n_ranges,
-                None if exact_lists else self._part_refs, prior=prior)
         if plan_only:
             return select_plan(pq_, lists, k, prune)
         return evaluate(*args, k, prune=prune, prior=prior)

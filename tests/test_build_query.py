@@ -473,6 +473,20 @@ def test_old_layout_fails_loudly(salted_index, tmp_path):
             compact_merge(idx)
 
 
+def test_missing_segments_fail_loudly(test_index, tmp_path):
+    """An index whose meta counts terms but whose segment directory
+    holds no segment file (moved, or of another layout) must fail on
+    open, naming the generation directory, not answer every query with
+    nothing."""
+    idx = str(tmp_path / "moved")
+    shutil.copytree(IDX, idx)
+    assert test_index["n_terms"] > 0
+    os.rename(os.path.join(idx, "segments"),
+              os.path.join(idx, "segments.moved"))
+    with pytest.raises(ValueError, match=f"{idx}: .*no part-"):
+        IndexSearcher(idx)
+
+
 def test_pagination_and_total_hits(test_index, oracle):
     """offset paging: page 2 equals rows 11-20 of a k=20 search (identical
     under pruning — engine prunes, oracle doesn't), and with_total returns

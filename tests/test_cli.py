@@ -39,10 +39,7 @@ def test_cli_build_query_suggest(cli_corpus, tmp_path):
     assert "w042 -> w0042" in r.stdout
     assert "corrected: w0042 the" in r.stdout
 
-    # exact parallel path + language-weighted path return full pages
-    r = _run("query", "--index", idx, "--q", "w0042", "--parallel")
-    assert r.returncode == 0, r.stderr[-2000:]
-    assert "hits in" in r.stdout
+    # the language-weighted path returns a full page
     r = _run("query", "--index", idx, "--q", "w0042", "--qlang", "en")
     assert r.returncode == 0, r.stderr[-2000:]
     assert "hits in" in r.stdout
@@ -55,8 +52,8 @@ def test_cli_build_query_suggest(cli_corpus, tmp_path):
     # the flags build one request: options that combine do, and the
     # output modes (snippets / facets) and refused pairs fail loudly
     # instead of silently picking one
-    r = _run("query", "--index", idx, "--q", "w0042", "--parallel",
-             "--qlang", "en")
+    r = _run("query", "--index", idx, "--q", "w0042", "--qlang", "en",
+             "--timeout-ms", "1000")
     assert r.returncode == 0, r.stderr[-2000:]
     assert "hits in" in r.stdout
     r = _run("query", "--index", idx, "--q", "w0042", "--snippets",
@@ -64,7 +61,7 @@ def test_cli_build_query_suggest(cli_corpus, tmp_path):
     assert r.returncode != 0
     assert "mutually exclusive" in r.stderr
     r = _run("query", "--index", idx, "--q", "w0042", "--facets", "lang",
-             "--parallel")
+             "--qlang", "en")
     assert r.returncode != 0
     assert "cannot be combined" in r.stderr
     r = _run("query", "--index", idx, "--q", "w0042",

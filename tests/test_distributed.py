@@ -92,40 +92,6 @@ def test_distributed_cache_warm(both):
     assert list(d1) == list(d2) and list(s1) == list(s2)
 
 
-def test_search_parallel_equals_local(both):
-    """The docId-range-split exact path (Msg39.cpp:411-466 analogue) must
-    reproduce search() rank- and score-identically for every query class,
-    at several range counts (including ranges ≫ matching docs)."""
-    local, _ = both
-    for n_ranges in (2, 4, 7):
-        for qid, q, k in query_set():
-            d1, s1 = local.search(q, k)
-            d2, s2 = local.search(q, k, n_ranges=n_ranges)
-            assert list(d1) == list(d2), (qid, q, n_ranges)
-            assert list(s1) == list(s2), (qid, q, n_ranges)
-
-
-def test_distributed_search_parallel_equals_local(both):
-    """The distributed coordinator's range-split path must also reproduce
-    the local searcher exactly (shared parallel_evaluate helper over its
-    fetched+merged lists)."""
-    local, dist = both
-    for qid, q, k in query_set():
-        d1, s1 = local.search(q, k)
-        d2, s2 = dist.search(q, k, n_ranges=3)
-        assert list(d1) == list(d2), (qid, q)
-        assert list(s1) == list(s2), (qid, q)
-
-
-def test_search_parallel_auto_small_query_stays_local(both):
-    """Auto range sizing must fall back to the single-process kernel for
-    small queries (n_ranges computed from total postings)."""
-    local, _ = both
-    d1, s1 = local.search("w0042", 10)
-    d2, s2 = local.search("w0042", 10, n_ranges="auto")
-    assert list(d1) == list(d2) and list(s1) == list(s2)
-
-
 def _requests(local, q):
     """One request per mode, built from the local searcher's answers."""
     import numpy as np

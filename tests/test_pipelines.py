@@ -75,6 +75,22 @@ def test_sql_checked_queries_match_oracle(entrymod, ducks):
                                       obj=name)
 
 
+def test_search_parallel_equals_bm25_topk(entrymod):
+    """``transcripts_search_parallel`` is ``transcripts_bm25_topk``'s
+    ranking of the first 8 reference queries, row for row."""
+    from open_source_search_engine_ray.sources.queryset import query_set
+
+    cols = ["query_id", "rank", "doc_id", "score"]
+    qs = entrymod.queries()
+    got = _to_pandas(qs["transcripts_search_parallel"](SF))[cols]
+    full = _to_pandas(qs["transcripts_bm25_topk"](SF))
+    first8 = [qid for qid, _, _ in query_set()[:8]]
+    want = full[full["query_id"].isin(first8)][cols]
+    assert len(want) > 0
+    pd.testing.assert_frame_equal(got.reset_index(drop=True),
+                                  want.reset_index(drop=True))
+
+
 def test_embedding_neardup_lsh_anchor(entrymod):
     """The subquadratic LSH path is anchored to its exact sibling: every
     reported pair is a true ≥tau pair (the in-bucket verify is exact), and

@@ -27,11 +27,10 @@ RARE = "because"
 N_RARE = 3
 
 OPTIONS = ["synonyms", "field_weights", "doc_prior", "offset", "after",
-           "doc_ids", "n_ranges", "budget", "rerank"]
+           "doc_ids", "budget", "rerank"]
 # pairs with no single meaning: refused with ValueError before any fetch
 REFUSED = {("doc_prior", "rerank"), ("offset", "after"),
-           ("after", "n_ranges"), ("after", "rerank"),
-           ("n_ranges", "rerank")}
+           ("after", "rerank")}
 
 
 def _corpus() -> pa.Table:
@@ -73,7 +72,6 @@ def setup(ray_session):
         "doc_ids": {"doc_ids": np.concatenate([
             rng.choice(ids, len(ids) // 2, replace=False),
             np.asarray([1, 2 ** 60], np.uint64)])},
-        "n_ranges": {"n_ranges": 2},
         "budget": {"timeout_ms": 1e9, "max_list_bytes": 1 << 40},
         "rerank": {"rerank": "proximity"},
     }
@@ -148,7 +146,7 @@ def test_option_pairs_match_oracle(setup):
     se, oracle, values = setup
     pairs = [p for p in itertools.combinations(OPTIONS, 2)
              if p not in REFUSED]
-    assert len(pairs) == 36 - len(REFUSED)
+    assert len(pairs) == 28 - len(REFUSED)
     for _qid, q, _k in query_set():
         for names in pairs:
             _check(se, oracle, values, q, names)
