@@ -51,7 +51,8 @@ def run_headline(sf_dir: str, num_cpus: int, full: bool = True,
     import ray
 
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
+             ignore_reinit_error=True, logging_level="ERROR",
+             log_to_driver=False)
     from ray.data import DataContext
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
@@ -253,6 +254,10 @@ def _hot_shingle_bench(n_docs: int) -> int:
 
 
 def main() -> None:
+    # the record is stdout's only line: Ray's driver thread prints raylet
+    # warnings to stdout whatever log_to_driver says, so everything else
+    # goes to stderr
+    record, sys.stdout = sys.stdout, sys.stderr
     sf_dir = _sf_dir()
     if "--scaling" in sys.argv:
         # N and 4N CPUs in fresh processes on the same input.  Default 2→8:
@@ -271,7 +276,7 @@ def main() -> None:
 
         ray.init(address="local", num_cpus=os.cpu_count(),
                  include_dashboard=False, ignore_reinit_error=True,
-                 logging_level="ERROR")
+                 logging_level="ERROR", log_to_driver=False)
         from ray.data import DataContext
         DataContext.get_current().enable_progress_bars = False
         from open_source_search_engine_ray.sources.transcripts import (
@@ -312,7 +317,7 @@ def main() -> None:
             "sf": sf_dir,
             "num_cpus": [lo, hi],
         }
-        print(json.dumps(doc))
+        print(json.dumps(doc), file=record)
         return
 
     num_cpus = _num_cpus()
@@ -330,7 +335,7 @@ def main() -> None:
         "sf": sf_dir,
         "num_cpus": num_cpus,
     }
-    print(json.dumps(doc))
+    print(json.dumps(doc), file=record)
 
 
 if __name__ == "__main__":

@@ -43,8 +43,9 @@ class IndexConfig:
     # terms of partition p live in shards P + p × num_salts + salt; v5:
     # Arrow IPC segment files, never released, but cached indexes of it
     # exist, so the number is not reused; v6: a segment row holds only the
-    # term id and its lists, in 128-row groups)
-    format_version: int = 6
+    # term id and its lists, in 128-row groups; v7: term-addressed zstd
+    # blocks behind a resident footer, no Parquet)
+    format_version: int = 7
     # BM25 parameters (the scoring contract; see functions/bm25.py)
     k1: float = 1.2
     b: float = 0.75

@@ -167,12 +167,12 @@ def _write_partition(groups: dict | None, part: int, hot: np.ndarray,
             flat, offs = groups["positions"]
             if len(sel) < n:
                 flat, offs = ragged_select(flat, offs, sel)
-            seg = encode_from_groups(
-                groups["term"][sel], groups["doc_ids"][sel],
-                groups["dl"][sel], groups["tfs"][sel], flat, np.diff(offs))
+            terms = groups["term"][sel]
             path = mf.segment_path(out_dir, shard)
-            write_segment(seg, path)
-            n_terms, nbytes = seg.num_rows, os.path.getsize(path)
+            write_segment(encode_from_groups(
+                terms, groups["doc_ids"][sel], groups["dl"][sel],
+                groups["tfs"][sel], flat, np.diff(offs)), path)
+            n_terms, nbytes = len(np.unique(terms)), os.path.getsize(path)
         mf.write_manifest(
             out_dir, shard, fingerprint=fingerprint, n_terms=n_terms,
             n_postings=len(sel), bytes_written=nbytes,
@@ -714,9 +714,9 @@ def load_meta(out_dir: str) -> dict:
     if found != IndexConfig.format_version:
         raise ValueError(
             f"index {out_dir} has format_version {found}; this engine "
-            f"reads format_version {IndexConfig.format_version} (segment "
-            f"rows of term id and lists only, no stored block maxima) — "
-            f"rebuild the index with build_index")
+            f"reads format_version {IndexConfig.format_version} "
+            f"(term-addressed zstd block segments) — rebuild the index "
+            f"with build_index")
     return meta
 
 

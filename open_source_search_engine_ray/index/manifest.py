@@ -20,9 +20,13 @@ def manifest_path(out_dir: str, shard: int, generation: int = 0) -> str:
                         f"part-{shard:05d}.json")
 
 
+# a segment file's name is ``part-{shard:05d}`` + this
+SEGMENT_SUFFIX = ".seg"
+
+
 def segment_path(out_dir: str, shard: int, generation: int = 0) -> str:
     return os.path.join(out_dir, "segments", f"gen={generation}",
-                        f"part-{shard:05d}.parquet")
+                        f"part-{shard:05d}{SEGMENT_SUFFIX}")
 
 
 def write_manifest(out_dir: str, shard: int, *, fingerprint: str,

@@ -344,7 +344,7 @@ def merge_postings(parts, tomb, with_positions: bool = True,
     """THE generation/tombstone merge of decoded posting parts — the
     in-memory ``posdbMerge_r`` (``RdbList.cpp:2186-2400``): sorted union
     with negative-key annihilation.  ``parts`` yields ``(gen,
-    decode_posting_table output)`` pairs; each loses the postings a
+    decode_postings output)`` pairs; each loses the postings a
     tombstone kills in its generation (:func:`live_keep_mask`; an add
     tombstones the versions it replaces), then the survivors are
     concatenated and stably sorted by docId — by (term, docId) with
@@ -393,7 +393,7 @@ def _merge_partition(gen_dirs: list[tuple[int, str]], part: int,
     generation — and write it back split under the union hot set."""
     from .build import _write_partition, hot_shards
     from .manifest import segment_path as seg_path
-    from .segments import SegmentReader, decode_posting_table
+    from .segments import SegmentReader, decode_postings
 
     shards = [part]
     if not config.salt_all_terms:
@@ -408,8 +408,8 @@ def _merge_partition(gen_dirs: list[tuple[int, str]], part: int,
             for shard in shards:
                 path = seg_path(d, shard)
                 if os.path.exists(path):
-                    yield gen, decode_posting_table(
-                        SegmentReader(path).read_table(), with_positions=True)
+                    yield gen, decode_postings(
+                        SegmentReader(path).read_all(), with_positions=True)
 
     p = np.uint64(config.num_partitions)
     return _write_partition(merge_postings(gen_parts(), tomb, by_term=True),

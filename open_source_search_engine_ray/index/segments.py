@@ -1,77 +1,77 @@
 """Posting-list segment files: encode (build side) and read (query side).
 
-A segment file is one Parquet file per shuffle shard holding one row per
-term: the term id and its posting list as Arrow list columns — absolute
-docIds, float32 doc lengths, field-major per-field tfs, per-doc position
-counts and position gaps — and nothing else, like the reference's posdb
-keys, which hold only the key and its payload (``Posdb.h:3-51``).  df
-is the list's length and cf its tf sum; block maxima for the pruned
+A segment file holds one shuffle shard's posting lists, sorted by term
+id, as the reference's posdb files hold them: delta-compressed byte
+ranges that a resident per-file map locates (``RdbMap.h:1-50``,
+``Posdb.h:230-235``, ``RdbList.h:13-47``).  Format 7 has three parts:
+
+- posting blocks: the scored columns of consecutive terms, cut into
+  blocks of about ``BLOCK_BYTES`` raw (a term is never split, so a long
+  list is a block of its own).  A block holds its terms' docId gaps
+  (uint64, restarting at each term: a term's first gap is its first
+  docId), then their per-field tfs (uint32, field-major per term: every
+  posting's field-0 tf, then field 1, ...), then their doc lengths
+  (float32), as one zstd frame;
+- position blocks, cut the same way: per-doc position counts, then the
+  position gaps that restart at each doc's first position (uint32);
+- a footer with the sorted term ids (as gaps), each term's df and
+  position count, and each block's first term and compressed size, as
+  int64 byte planes under zstd, followed by a fixed trailer: the
+  footer's sizes, the format version and a magic.
+
+df is the list's length and cf its tf sum; block maxima for the pruned
 plans are computed from the merged list when it is fetched.
 
-Integer list columns are written ``DELTA_BINARY_PACKED`` under zstd, so
-the sorted docIds keep the delta compression of the reference's
-prefix-compressed termlists (``Posdb.h:230-235``, ``RdbList.h:13-47``)
-with no hand-written codec.
-
-Rows are sorted by term_id, in row groups of ``ROW_GROUP_ROWS`` rows
-written without min/max statistics.  A reader keeps the file's term
-dictionary resident — the sorted ``term_id`` column and each row group's
-first row, read once at open — the per-file key index of the reference
-(``RdbMap``, ``RdbMap.h:1-50``; ``RdbIndex``, ``RdbIndex.h:21-60``).  A
-term lookup is then a binary search: a term the file lacks costs no I/O,
-and a term it holds costs one read of its small row group, of only the
-columns the query scores, sliced to the term's row.
+A reader keeps the footer resident — the ``RdbMap`` role.  A term the
+file lacks costs no I/O; a term it holds costs a binary search, one
+``os.pread`` of its posting block (and one of its position block when
+positions are wanted), one decompress each and numpy slices.
+Compaction decodes whole files through the same reader.
 
 Files are immutable once written, so readers are shared: every searcher
 in a process that opens the same file (same path, inode, size and
 mtime) gets the same reader (:func:`open_segment`).  The registry holds
-readers weakly, so a reader lives exactly as long as some searcher
-holds it, and a reopen after an add keeps the readers of the
-generations the add did not touch.
+readers weakly, so a reader — and its file descriptor — lives exactly
+as long as some searcher holds it, and a reopen after an add keeps the
+readers of the generations the add did not touch.  ``pread`` is
+positional, so threads share a reader.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
+import struct
 import threading
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..config import IndexConfig, NUM_FIELDS, TURN_STRIDE
 from ..functions.ragged import ragged_arange
 
-SEGMENT_SCHEMA = pa.schema([
-    ("term_id", pa.uint64()),
-    # one value per posting, docIds absolute and ascending
-    ("doc_ids", pa.large_list(pa.uint64())),
-    ("dl", pa.large_list(pa.float32())),
-    # NUM_FIELDS x df values: every posting's field-0 tf, then field 1, ...
-    ("tfs", pa.large_list(pa.uint32())),
-    # positions per posting, then the positions as gaps that restart at
-    # each doc's first position (stored absolute)
-    ("pos_counts", pa.large_list(pa.uint32())),
-    ("pos_deltas", pa.large_list(pa.uint32())),
-])
-
-# what the query path reads; compaction reads the whole table.  A read
-# takes term_id from the reader's resident dictionary, not the file
-QUERY_COLUMNS = ["term_id", "doc_ids", "dl", "tfs"]
-POSITION_COLUMNS = ["pos_counts", "pos_deltas"]
-# rows per row group: the unit one term read decodes
-ROW_GROUP_ROWS = 128
-_EMPTY = SEGMENT_SCHEMA.empty_table()
-_DELTA_COLUMNS = ["doc_ids", "tfs", "pos_counts", "pos_deltas"]
+# a block's window of raw bytes: it takes the terms that start in it
+BLOCK_BYTES = 4096
+_CODEC = pa.Codec("zstd", compression_level=1)
+MAGIC = b"OSEG"
+# footer compressed size, footer raw size, format version, magic
+_TRAILER = struct.Struct("<QQI4s")
+# a block's columns in order: (dtype, unit, values per unit), the unit a
+# posting (0) or a position (1)
+_POSTING_BLOCK = ((np.dtype(np.uint64), 0, 1),
+                  (np.dtype(np.uint32), 0, NUM_FIELDS),
+                  (np.dtype(np.float32), 0, 1))
+_POSITION_BLOCK = ((np.dtype(np.uint32), 0, 1), (np.dtype(np.uint32), 1, 1))
 
 
-def encode_shard(postings: pa.Table, config: IndexConfig) -> pa.Table:
-    """Encode one shard's posting partials into segment rows."""
+def encode_shard(postings: pa.Table, config: IndexConfig) -> bytes:
+    """Encode one shard's posting partials into a segment file image."""
     g = merge_partials(postings, config)
     if g is None:
-        return SEGMENT_SCHEMA.empty_table()
+        z = np.zeros(0, dtype=np.int64)
+        return encode_from_groups(z, z, z, np.zeros((0, NUM_FIELDS)), z, z)
     flat, offs = g["positions"]
     return encode_from_groups(g["term"], g["doc_ids"], g["dl"], g["tfs"],
                               flat, np.diff(offs))
@@ -163,24 +163,29 @@ def merge_partials(postings: pa.Table, config: IndexConfig) -> dict | None:
 def encode_from_groups(g_term: np.ndarray, g_doc: np.ndarray,
                        g_dl: np.ndarray, tfs: np.ndarray,
                        flat_pos: np.ndarray,
-                       grp_pos_counts: np.ndarray) -> pa.Table:
+                       grp_pos_counts: np.ndarray) -> bytes:
     """Encode already-merged (term, doc) groups (sorted by term then doc)
-    into segment rows.  Shared by the build path (``merge_partials``) and
-    segment-level compaction (index/merge.py) — same rows either way."""
-    if len(g_term) == 0:
-        return SEGMENT_SCHEMA.empty_table()
+    into a segment file image.  Shared by the build path
+    (``merge_partials``), ingest adds and segment-level compaction
+    (index/merge.py) — the same bytes either way.  Vectorized over
+    terms; the only loop is over blocks, one zstd frame each."""
+    g_term = np.asarray(g_term, dtype=np.uint64)
+    g_doc = np.asarray(g_doc, dtype=np.uint64)
     n_td = len(g_term)
-    # term boundaries over the (term,doc) groups: each term's postings are
-    # one list, so the list offsets are the term starts
-    new_t = np.empty(n_td, dtype=bool)
-    new_t[0] = True
+    new_t = np.ones(n_td, dtype=bool)
     new_t[1:] = g_term[1:] != g_term[:-1]
     t_starts = np.flatnonzero(new_t)
-    post_offs = np.append(t_starts, n_td).astype(np.int64)
+    df = np.diff(np.append(t_starts, n_td))
+    grp_pos_counts = np.asarray(grp_pos_counts, dtype=np.int64)
+    npos = (np.add.reduceat(grp_pos_counts, t_starts) if n_td
+            else np.zeros(0, dtype=np.int64))
 
+    # docId gaps, restarting at each term's first (absolute) docId
+    gaps = g_doc.copy()
+    gaps[1:] -= g_doc[:-1]
+    gaps[t_starts] = g_doc[t_starts]
     tf_vals = np.empty(NUM_FIELDS * n_td, dtype=np.uint32)
-    tf_vals[_field_major_index(np.diff(post_offs))] = tfs
-
+    tf_vals[_field_major_index(df)] = tfs
     # position gaps, restarting at each doc's first position
     grp_pos_offsets = np.concatenate([[0], np.cumsum(grp_pos_counts)])
     pos = flat_pos.astype(np.int64)
@@ -189,20 +194,41 @@ def encode_from_groups(g_term: np.ndarray, g_doc: np.ndarray,
     firsts = grp_pos_offsets[:-1][grp_pos_counts > 0]
     pos_deltas[firsts] = pos[firsts]
 
-    def lists(offsets, values, value_type):
-        return pa.LargeListArray.from_arrays(
-            pa.array(offsets, pa.int64()), pa.array(values, value_type))
+    units = (df, npos)
+    post_frames, post_first = _blocks(_POSTING_BLOCK, units, (
+        gaps, tf_vals, g_dl.astype(np.float32)))
+    pos_frames, pos_first = _blocks(_POSITION_BLOCK, units, (
+        grp_pos_counts.astype(np.uint32), pos_deltas.astype(np.uint32)))
+    footer = np.concatenate([
+        [len(t_starts), len(post_first), len(pos_first)],
+        np.diff(g_term[t_starts], prepend=np.uint64(0)).view(np.int64),
+        df, npos, post_first, [f.size for f in post_frames],
+        pos_first, [f.size for f in pos_frames]]).astype(np.int64)
+    # byte planes (every value's low byte, then the next byte, ...): the
+    # values are small or gaps, so the high planes compress away
+    packed = _CODEC.compress(footer.view(np.uint8).reshape(-1, 8).T.copy())
+    return b"".join(post_frames + pos_frames + [packed, _TRAILER.pack(
+        packed.size, footer.nbytes, IndexConfig.format_version, MAGIC)])
 
-    return pa.table({
-        "term_id": g_term[t_starts],
-        "doc_ids": lists(post_offs, g_doc, pa.uint64()),
-        "dl": lists(post_offs, g_dl.astype(np.float32), pa.float32()),
-        "tfs": lists(NUM_FIELDS * post_offs, tf_vals, pa.uint32()),
-        "pos_counts": lists(post_offs, grp_pos_counts.astype(np.uint32),
-                            pa.uint32()),
-        "pos_deltas": lists(grp_pos_offsets[post_offs],
-                            pos_deltas.astype(np.uint32), pa.uint32()),
-    }, schema=SEGMENT_SCHEMA)
+
+def _blocks(layout: tuple, units: tuple, arrays: tuple) -> tuple:
+    """Cut consecutive terms into blocks of ``layout`` columns → (one
+    zstd frame per block, each block's first term).  A block takes the
+    terms whose first raw byte falls in its ``BLOCK_BYTES`` window, so a
+    term is never split.  ``units`` holds each term's postings and
+    positions; ``arrays`` the columns' values, terms in order."""
+    raw = sum(t.itemsize * k * units[u] for t, u, k in layout)
+    window = (np.cumsum(raw) - raw) // BLOCK_BYTES
+    first = np.flatnonzero(np.concatenate([[True], window[1:] != window[:-1]])
+                           if len(raw) else np.zeros(0, dtype=bool))
+    starts = [np.concatenate([[0], np.cumsum(u)]) for u in units]
+    # each column's value bounds of every block
+    cuts = [(k * starts[u][np.append(first, len(raw))]).tolist()
+            for _, u, k in layout]
+    frames = [_CODEC.compress(b"".join(a[c[b]:c[b + 1]]
+                                       for a, c in zip(arrays, cuts)))
+              for b in range(len(first))]
+    return frames, first
 
 
 def _field_major_index(df: np.ndarray) -> np.ndarray:
@@ -215,51 +241,101 @@ def _field_major_index(df: np.ndarray) -> np.ndarray:
     return base[:, None] + per_row[:, None] * np.arange(NUM_FIELDS)
 
 
-def write_segment(table: pa.Table, path: str) -> None:
-    """Idempotent write: tmp file + atomic rename (the ``*.writing`` →
-    final-name pattern of ``RdbBase``)."""
+def write_segment(data: bytes, path: str) -> None:
+    """Idempotent write of a segment file image: tmp file + atomic rename
+    (the ``*.writing`` → final-name pattern of ``RdbBase``)."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".writing.%d" % os.getpid()
-    pq.write_table(table, tmp, row_group_size=ROW_GROUP_ROWS,
-                   compression="zstd", use_dictionary=False,
-                   write_statistics=False,
-                   column_encoding={f"{c}.list.element": "DELTA_BINARY_PACKED"
-                                    for c in _DELTA_COLUMNS})
+    with open(tmp, "wb") as f:
+        f.write(data)
     os.replace(tmp, path)
 
 
+@dataclass
+class RawRows:
+    """Undecoded rows of a segment read, in term order: flat columns
+    cut from the decompressed blocks (views of them), as
+    :func:`decode_posting_row` and :func:`decode_postings` take them.
+    ``nbytes`` is the decompressed bytes the read produced."""
+
+    terms: np.ndarray       # uint64, one per row
+    df: np.ndarray          # int64 postings per row
+    gaps: np.ndarray        # uint64 docId gaps, restarting at each row
+    tfs: np.ndarray         # uint32, field-major per row
+    dl: np.ndarray          # float32
+    nbytes: int
+    pos_counts: np.ndarray | None = None    # uint32 positions per posting
+    pos_deltas: np.ndarray | None = None    # uint32 gaps, restarting per
+                                            # posting
+
+
 class SegmentReader:
-    """Reads term rows from one segment file through its resident term
-    dictionary (the searcher keeps one reader, and so one footer and one
-    dictionary, per file; :func:`open_segment` shares them)."""
+    """Reads term rows from one segment file through its resident footer
+    (the searcher keeps one reader, and so one footer, per file;
+    :func:`open_segment` shares them).  The file stays open for the
+    reader's life and closes when it is collected."""
 
     def __init__(self, path: str):
         self.path = path
-        self._pf = pq.ParquetFile(path)
-        schema = self._pf.schema_arrow
-        if not schema.equals(SEGMENT_SCHEMA):
-            if "block_max" in schema.names:
-                found = "format_version 4 (stored block maxima)"
-            elif "doc_blob" in schema.names:
-                found = "format_version 2 (varbyte blob columns)"
-            else:
-                found = "an unknown layout"
+        self._fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self._fd)
+        size = os.fstat(self._fd).st_size
+        tail = os.pread(self._fd, _TRAILER.size,
+                        max(0, size - _TRAILER.size))
+        if len(tail) < _TRAILER.size or tail[-len(MAGIC):] != MAGIC:
+            found = ("the Parquet layout of format_version 6 or older"
+                     if tail[-4:] == b"PAR1" else
+                     "no segment magic (truncated, or not a segment)")
             raise ValueError(
                 f"segment {path} has {found}; this engine reads "
-                f"format_version {IndexConfig.format_version} list columns "
+                f"format_version {IndexConfig.format_version} block files "
                 f"— rebuild the index with build_index")
-        # a plain numpy copy: the Arrow read buffers are dropped at once
-        self._terms = np.array(self._pf.read(
-            columns=["term_id"], use_threads=False)["term_id"].to_numpy(),
-            dtype=np.uint64)
+        packed, raw, version, _ = _TRAILER.unpack(tail)
+        if version != IndexConfig.format_version:
+            raise ValueError(
+                f"segment {path} has format_version {version}; this engine "
+                f"reads format_version {IndexConfig.format_version} — "
+                f"rebuild the index with build_index")
+        end = size - _TRAILER.size - packed
+        if end < 0:
+            raise ValueError(f"segment {path} is truncated: a footer of "
+                             f"{packed} bytes in a file of {size}")
+        try:
+            planes = np.frombuffer(_CODEC.decompress(
+                os.pread(self._fd, packed, end), decompressed_size=raw),
+                dtype=np.uint8)
+        except pa.ArrowException as e:
+            raise ValueError(f"segment {path} is corrupt: its footer does "
+                             f"not decompress ({e})") from e
+        if len(planes) % 8:
+            raise ValueError(f"segment {path} is corrupt: a footer of "
+                             f"{len(planes)} bytes")
+        footer = planes.reshape(8, -1).T.copy().view(np.int64).ravel()
+        n, nb, mb = (footer[:3].tolist() + [-1] * 3)[:3]
+        at = np.cumsum([3, n, n, n, nb, nb, mb, mb])
+        if min(n, nb, mb) < 0 or len(footer) != at[-1]:
+            raise ValueError(f"segment {path} is corrupt: a footer of "
+                             f"{len(footer)} values")
+        terms, df, npos, post_first, post_size, pos_first, pos_size = (
+            footer[a:b] for a, b in zip(at[:-1], at[1:]))
+        self._terms = np.cumsum(terms.view(np.uint64), dtype=np.uint64)
         if np.any(self._terms[1:] <= self._terms[:-1]):
             raise ValueError(f"segment {path} is not sorted by unique "
                              "term_id")
-        md = self._pf.metadata
-        sizes = [md.row_group(rg).num_rows for rg in range(md.num_row_groups)]
-        # first row of every row group, then the row count
-        self._rg_start = np.concatenate([[0], np.cumsum(sizes)]).astype(
-            np.int64)
+        # per unit (posting, position): each term's first value, then
+        # the total
+        self._starts = tuple(np.concatenate([[0], np.cumsum(u)])
+                             for u in (df, npos))
+        offsets = np.concatenate([[0], np.cumsum(np.concatenate(
+            [post_size, pos_size]))]).astype(np.int64)
+        if offsets[-1] != end:
+            raise ValueError(f"segment {path} is truncated or corrupt: its "
+                             f"blocks end at {offsets[-1]}, its footer "
+                             f"starts at {end}")
+        # per block kind: each block's first term (then n), and its byte
+        # offsets, as lists: a read indexes them a few times per block
+        self._post = (post_first.tolist() + [n], offsets[:nb + 1].tolist())
+        self._pos = (pos_first.tolist() + [n], offsets[nb:].tolist())
 
     def __contains__(self, term_id: int) -> bool:
         t = np.uint64(term_id)
@@ -267,41 +343,79 @@ class SegmentReader:
         return i < len(self._terms) and self._terms[i] == t
 
     def read_terms(self, term_ids: list[int],
-                   with_positions: bool = True) -> pa.Table:
-        """Rows of ``term_ids`` in term order, with only the columns a
-        query scores (and the position columns when ``with_positions``).
-        Terms the file lacks cost no I/O; the rest cost one read of the
-        row groups holding them."""
-        cols = QUERY_COLUMNS + (POSITION_COLUMNS if with_positions else [])
-        if len(term_ids) == 1:
-            # the query path's read: one search, one row group, one slice
-            t = np.uint64(term_ids[0])
-            i = int(np.searchsorted(self._terms, t))
-            if i == len(self._terms) or self._terms[i] != t:
-                return _EMPTY.select(cols)
-            rg = int(np.searchsorted(self._rg_start, i, side="right")) - 1
-            tbl = self._pf.read_row_groups([rg], columns=cols[1:],
-                                           use_threads=False)
-            return tbl.slice(i - int(self._rg_start[rg]), 1).add_column(
-                0, "term_id", pa.array(self._terms[i:i + 1]))
-        want = np.unique(np.asarray(term_ids, dtype=np.uint64))
+                   with_positions: bool = True) -> RawRows:
+        """Rows of ``term_ids`` in term order, with the position columns
+        when ``with_positions``.  Terms the file lacks cost no I/O; a run
+        of consecutive rows costs one read of each block holding it."""
+        want = np.asarray(term_ids, dtype=np.uint64)
+        if len(want) > 1:
+            want = np.unique(want)
         lo = np.searchsorted(self._terms, want, side="left")
         rows = lo[np.searchsorted(self._terms, want, side="right") > lo]
-        if len(rows) == 0:
-            return _EMPTY.select(cols)
-        rgs = np.unique(
-            np.searchsorted(self._rg_start, rows, side="right") - 1)
-        # the file rows the read returns: its row groups', in order
-        read = np.concatenate([np.arange(self._rg_start[g],
-                                         self._rg_start[g + 1]) for g in rgs])
-        tbl = self._pf.read_row_groups(rgs.tolist(), columns=cols[1:],
-                                       use_threads=False)
-        return tbl.take(pa.array(np.searchsorted(read, rows))).add_column(
-            0, "term_id", pa.array(self._terms[rows]))
+        if len(rows) <= 1:
+            i = int(rows[0]) if len(rows) else 0
+            return self._run(i, i + len(rows), with_positions)
+        cut = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(),
+               len(rows)]
+        parts = [self._run(int(rows[a]), int(rows[b - 1]) + 1,
+                           with_positions) for a, b in zip(cut, cut[1:])]
+        cols = ("terms", "df", "gaps", "tfs", "dl") + (
+            ("pos_counts", "pos_deltas") if with_positions else ())
+        return RawRows(nbytes=sum(p.nbytes for p in parts), **{
+            c: np.concatenate([getattr(p, c) for p in parts]) for c in cols})
 
-    def read_table(self) -> pa.Table:
-        """Every row and column (compaction)."""
-        return self._pf.read()
+    def read_all(self) -> RawRows:
+        """Every row, positions included (compaction)."""
+        return self._run(0, len(self._terms), True)
+
+    def _run(self, i0: int, i1: int, with_positions: bool) -> RawRows:
+        """Rows ``[i0, i1)``: one read of each block holding them."""
+        (gaps, tfs, dl), nbytes = self._columns(i0, i1, self._post,
+                                                _POSTING_BLOCK)
+        counts = deltas = None
+        if with_positions:
+            (counts, deltas), n = self._columns(i0, i1, self._pos,
+                                                _POSITION_BLOCK)
+            nbytes += n
+        return RawRows(self._terms[i0:i1],
+                       np.diff(self._starts[0][i0:i1 + 1]), gaps, tfs, dl,
+                       nbytes, counts, deltas)
+
+    def _columns(self, i0: int, i1: int, blocks: tuple,
+                 layout: tuple) -> tuple:
+        """Columns of rows ``[i0, i1)`` from the blocks of one kind
+        (``blocks`` = each block's first row, then its byte offsets) →
+        (one array per ``layout`` column, decompressed bytes)."""
+        first, offsets = blocks
+        if i0 == i1:
+            return [np.zeros(0, t) for t, _, _ in layout], 0
+        b0 = bisect.bisect_right(first, i0) - 1
+        b1 = bisect.bisect_right(first, i1 - 1)
+        parts: list[list] = [[] for _ in layout]
+        nbytes = 0
+        for b in range(b0, b1):
+            r0, r1 = first[b], first[b + 1]
+            counts = [k * int(self._starts[u][r1] - self._starts[u][r0])
+                      for _, u, k in layout]
+            raw = sum(t.itemsize * c for (t, _, _), c in zip(layout, counts))
+            lo, hi = offsets[b], offsets[b + 1]
+            data = os.pread(self._fd, hi - lo, lo)
+            if len(data) != hi - lo:
+                raise ValueError(f"segment {self.path} is truncated at "
+                                 f"block bytes {lo}-{hi}")
+            buf = _CODEC.decompress(data, decompressed_size=raw)
+            at = 0
+            for part, (t, _, _), c in zip(parts, layout, counts):
+                part.append(np.frombuffer(buf, t, c, at))
+                at += t.itemsize * c
+            nbytes += raw
+        out = []
+        for part, (_, u, k) in zip(parts, layout):
+            arr = part[0] if len(part) == 1 else np.concatenate(part)
+            base = self._starts[u][first[b0]]
+            out.append(arr[k * int(self._starts[u][i0] - base):
+                           k * int(self._starts[u][i1] - base)])
+        return out, nbytes
 
 
 # live readers by file identity; weak, so a reader lives exactly as long
@@ -335,69 +449,54 @@ def open_segment(path: str) -> SegmentReader:
     return rd
 
 
-def _list_values(tbl: pa.Table, name: str) -> np.ndarray:
-    """Zero-copy numpy view of list column ``name``'s values, all rows."""
-    col = tbl[name]
-    arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
-    return arr.flatten().to_numpy()
-
-
-def _row_values(row: pa.Table, name: str) -> np.ndarray:
-    """Zero-copy numpy view of list column ``name``'s values in a one-row
-    table, cut from the child array at the row's list offsets."""
-    arr = row[name].chunk(0)
-    lo, hi = arr.offsets.to_numpy()
-    return arr.values.to_numpy()[lo:hi]
+def _restart_cumsum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Running sums of ``values`` restarting at each group of ``counts``
+    values (gaps → absolute values), in uint64: one cumsum over every
+    group, then each group's running total before its first value
+    subtracted.  uint64 arithmetic wraps exactly, so values ≥ 2^63 come
+    back exact."""
+    flat = np.cumsum(values, dtype=np.uint64)
+    nz = counts > 0
+    firsts = (np.cumsum(counts) - counts)[nz]
+    flat -= np.repeat(flat[firsts] - values[firsts], counts[nz])
+    return flat
 
 
 def _positions(counts: np.ndarray, deltas: np.ndarray) -> tuple:
     """Per-doc position counts and gaps → (flat uint64, offsets int64)."""
     counts = counts.astype(np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    # one cumsum over every doc's gaps, then subtract each doc's running
-    # total before its first (absolute) position
-    flat = np.cumsum(deltas, dtype=np.uint64)
-    nz = counts > 0
-    firsts = offsets[:-1][nz]
-    flat -= np.repeat(flat[firsts] - deltas[firsts], counts[nz])
-    return flat, offsets
+    return (_restart_cumsum(deltas, counts),
+            np.concatenate([[0], np.cumsum(counts)]))
 
 
-def decode_posting_table(tbl: pa.Table, with_positions: bool = False) -> dict:
-    """Decode every row of a segment table into flat per-posting arrays.
+def decode_postings(raw: RawRows, with_positions: bool = False) -> dict:
+    """Decode every row of a read into flat per-posting arrays.
 
     Returns ``term`` and ``doc_ids`` uint64, ``tfs`` (n, NUM_FIELDS) int64,
     ``dl`` float32 and, with positions, ``positions`` = (flat uint64,
-    offsets int64 of len n+1).  ``doc_ids`` and ``dl`` view the table's
-    buffers: a caller that keeps one copies it.
+    offsets int64 of len n+1).  ``dl`` views the read's buffers: a
+    caller that keeps it copies it.
     """
-    docs = _list_values(tbl, "doc_ids")
-    df = pc.list_value_length(tbl["doc_ids"]).to_numpy().astype(np.int64)
-    tf_vals = _list_values(tbl, "tfs")
     out = {
-        "term": np.repeat(tbl["term_id"].to_numpy(), df),
-        "doc_ids": docs,
-        "tfs": tf_vals[_field_major_index(df)].astype(np.int64),
-        "dl": _list_values(tbl, "dl"),
+        "term": np.repeat(raw.terms, raw.df),
+        "doc_ids": _restart_cumsum(raw.gaps, raw.df),
+        "tfs": raw.tfs[_field_major_index(raw.df)].astype(np.int64),
+        "dl": raw.dl,
     }
     if with_positions:
-        out["positions"] = _positions(_list_values(tbl, "pos_counts"),
-                                      _list_values(tbl, "pos_deltas"))
+        out["positions"] = _positions(raw.pos_counts, raw.pos_deltas)
     return out
 
 
-def decode_posting_row(row: pa.Table, with_positions: bool = False) -> dict:
-    """Decode one segment row (a one-row table slice) — the query path's
-    decode: :func:`decode_posting_table`'s arrays without ``term``, cut
-    at the row's list offsets, ``tfs`` a transpose of the field-major
-    row.  Every array owns its memory, so a cache holding one does not
-    pin the read's buffers."""
-    docs = _row_values(row, "doc_ids").copy()
+def decode_posting_row(raw: RawRows, with_positions: bool = False) -> dict:
+    """Decode a one-row read — the query path's decode:
+    :func:`decode_postings`'s arrays without ``term``, ``tfs`` a
+    transpose of the field-major row.  Every array owns its memory, so a
+    cache holding one does not pin the read's buffers."""
+    docs = np.cumsum(raw.gaps, dtype=np.uint64)
     out = {"doc_ids": docs,
-           "tfs": _row_values(row, "tfs").reshape(
-               NUM_FIELDS, len(docs)).T.astype(np.int64),
-           "dl": _row_values(row, "dl").copy()}
+           "tfs": raw.tfs.reshape(NUM_FIELDS, len(docs)).T.astype(np.int64),
+           "dl": raw.dl.copy()}
     if with_positions:
-        out["positions"] = _positions(_row_values(row, "pos_counts"),
-                                      _row_values(row, "pos_deltas"))
+        out["positions"] = _positions(raw.pos_counts, raw.pos_deltas)
     return out

@@ -49,7 +49,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..index.build import hot_shards, index_config, load_meta
-from ..index.manifest import segment_path
+from ..index.manifest import SEGMENT_SUFFIX, segment_path
 from ..index.merge import (gen_dir, merge_postings, read_generations,
                            read_tombstones)
 from ..index.segments import (SegmentReader, decode_posting_row,
@@ -158,9 +158,9 @@ class _GenIndex:
         files = os.scandir(seg_dir) if os.path.isdir(seg_dir) else ()
         for f in files:
             if not (f.name.startswith("part-")
-                    and f.name.endswith(".parquet")):
+                    and f.name.endswith(SEGMENT_SUFFIX)):
                 continue     # e.g. a writer's temporary file
-            shard = int(f.name[len("part-"):-len(".parquet")])
+            shard = int(f.name[len("part-"):-len(SEGMENT_SUFFIX)])
             ident = self.files[shard] = file_identity(f.path, f.stat())
             rd = live_reader(ident)
             if rd is not None:
@@ -170,7 +170,7 @@ class _GenIndex:
         if not self.files and int(self.meta.get("n_terms", 0)) > 0:
             raise ValueError(
                 f"{index_dir}: meta counts {self.meta['n_terms']} terms "
-                f"but {seg_dir} holds no part-*.parquet segment file")
+                f"but {seg_dir} holds no part-*{SEGMENT_SUFFIX} segment file")
 
     def _reader(self, shard: int) -> SegmentReader | None:
         rd = self._readers.get(shard)

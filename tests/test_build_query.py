@@ -449,9 +449,9 @@ def test_build_is_a_function_of_the_corpus(salted_index, ray_session,
 def test_old_layout_fails_loudly(salted_index, tmp_path):
     """A format_version 3 index numbered its hot shards by hot-term rank,
     a format_version 4 one stored statistics and block maxima in its
-    segments, and a format_version 5 one wrote Arrow IPC segment files:
-    opening any must fail and ask for a rebuild, not read wrong shards,
-    columns or no files."""
+    segments, a format_version 5 one wrote Arrow IPC segment files and a
+    format_version 6 one Parquet segment files: opening any must fail
+    and ask for a rebuild, not read wrong shards, columns or no files."""
     import json
 
     from open_source_search_engine_ray.index.merge import compact_merge
@@ -462,7 +462,7 @@ def test_old_layout_fails_loudly(salted_index, tmp_path):
     with open(path) as f:
         meta = json.load(f)
     assert meta["hot_terms"]
-    for version in (3, 4, 5):
+    for version in (3, 4, 5, 6):
         meta["config"]["format_version"] = version
         with open(path, "w") as f:
             json.dump(meta, f)

@@ -3,6 +3,8 @@ golden_postings): regression anchors so any accidental change to the
 hashing or tokenization contract fails loudly — termIds define index
 identity (``SURVEY.md`` §7.5 hard part #1)."""
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -10,6 +12,7 @@ import pytest
 
 from open_source_search_engine_ray.functions.ghash import (
     TERMID_MASK, doc_id_for_conv, hash64_lower_utf8)
+from open_source_search_engine_ray.functions.ragged import ragged_concat
 from open_source_search_engine_ray.functions.tokenizer import (
     TokenHashCache, terms_for_texts)
 
@@ -85,17 +88,9 @@ def _synthetic_postings(rng, n_terms: int = 1200, n: int = 8000) -> pa.Table:
     })
 
 
-def test_golden_postings_roundtrip(tmp_path):
-    """FIXTURES §3 golden_postings: posting lists go through a segment
-    file (encode_shard -> write_segment -> SegmentReader.read_terms ->
-    decode) and come back as the dict-built reference lists: docIds,
-    per-field tfs, doc lengths and per-doc positions."""
-    from open_source_search_engine_ray.config import IndexConfig
-    from open_source_search_engine_ray.index.segments import (
-        POSITION_COLUMNS, SegmentReader, decode_posting_row,
-        decode_posting_table, encode_shard, write_segment)
-
-    tbl = _synthetic_postings(np.random.default_rng(7))
+def _reference_lists(tbl: pa.Table) -> dict[int, dict[int, dict]]:
+    """term → doc → per-field tfs, positions and dl, built with dicts
+    from posting partials."""
     ref: dict[int, dict[int, dict]] = {}
     for t, d, f, tf, pos, dl in zip(*(tbl[c].to_pylist()
                                       for c in tbl.column_names)):
@@ -103,40 +98,76 @@ def test_golden_postings_roundtrip(tmp_path):
             d, {"tfs": [0, 0, 0, 0], "pos": [], "dl": dl})
         e["tfs"][f] += tf
         e["pos"].extend(pos)
+    return ref
 
+
+def test_golden_postings_roundtrip(tmp_path):
+    """FIXTURES §3 golden_postings: posting lists go through a segment
+    file (encode_shard -> write_segment -> SegmentReader.read_terms ->
+    decode_posting_row) and come back as the dict-built reference lists
+    — docIds >= 2^62, per-field tfs, doc lengths and per-doc positions —
+    read with and without positions, for terms on both sides of every
+    block boundary and a list longer than one block.  One whole-file
+    decode (compaction's read) equals the per-term reads, and an empty
+    shard round-trips to no rows."""
+    from open_source_search_engine_ray.config import IndexConfig
+    from open_source_search_engine_ray.index.segments import (
+        BLOCK_BYTES, SegmentReader, decode_posting_row, decode_postings,
+        encode_shard, write_segment)
+
+    rng = np.random.default_rng(7)
+    # term 0's list is longer than a block
+    tbl = pa.concat_tables([_synthetic_postings(rng),
+                            _synthetic_postings(rng, n_terms=1, n=2000)])
+    ref = _reference_lists(tbl)
     cfg = IndexConfig()
-    path = str(tmp_path / "seg.parquet")
+    path = str(tmp_path / "seg.seg")
     write_segment(encode_shard(tbl, cfg), path)
-    assert pq.ParquetFile(path).metadata.num_row_groups >= 2
     rd = SegmentReader(path)
-    got = rd.read_terms(list(ref), with_positions=True)
-    assert got.num_rows == len(ref)
-    assert not set(POSITION_COLUMNS) & set(
-        rd.read_terms(list(ref), with_positions=False).column_names)
+    post_first, pos_first = rd._post[0], rd._pos[0]
+    assert len(post_first) > 3 and len(pos_first) > 3   # >= 2 blocks each
+    assert rd._terms.tolist() == sorted(ref)
+    assert 28 * len(ref[0]) > BLOCK_BYTES
     n_no_pos = 0
-    for i in range(got.num_rows):
-        d = decode_posting_row(got.slice(i, 1), with_positions=True)
-        exp = ref[got["term_id"][i].as_py()]
+    rows = []
+    for t in sorted(ref):
+        exp = ref[t]
         docs = sorted(exp)
-        assert d["doc_ids"].tolist() == docs
-        assert d["tfs"].tolist() == [exp[x]["tfs"] for x in docs]
-        assert d["dl"].tolist() == [exp[x]["dl"] for x in docs]
+        for with_positions in (False, True):
+            got = rd.read_terms([t], with_positions=with_positions)
+            assert got.terms.tolist() == [t]
+            assert got.nbytes >= (28 + 4 * with_positions) * len(docs)
+            d = decode_posting_row(got, with_positions=with_positions)
+            assert d["doc_ids"].tolist() == docs
+            assert d["tfs"].tolist() == [exp[x]["tfs"] for x in docs]
+            assert d["dl"].tolist() == [exp[x]["dl"] for x in docs]
+            assert ("positions" in d) == with_positions
         flat, offsets = d["positions"]
         assert len(offsets) == len(docs) + 1
         for j, x in enumerate(docs):
             assert flat[offsets[j]:offsets[j + 1]].tolist() == \
                 sorted(exp[x]["pos"])
             n_no_pos += not exp[x]["pos"]
+        rows.append(d)
     assert n_no_pos > 0
-    # the bulk decode is the per-row decodes concatenated
-    bulk = decode_posting_table(got, with_positions=True)
-    rows = [decode_posting_row(got.slice(i, 1), with_positions=True)
-            for i in range(got.num_rows)]
+    # the whole-file decode is the per-term decodes concatenated
+    bulk = decode_postings(rd.read_all(), with_positions=True)
+    assert bulk["term"].tolist() == [t for t in sorted(ref)
+                                     for _ in ref[t]]
     for key in ("doc_ids", "tfs", "dl"):
         assert np.array_equal(bulk[key],
                               np.concatenate([r[key] for r in rows]))
-    assert np.array_equal(bulk["positions"][0], np.concatenate(
-        [r["positions"][0] for r in rows]))
+    for i in (0, 1):
+        assert np.array_equal(bulk["positions"][i], ragged_concat(
+            [r["positions"] for r in rows])[i])
+    # an empty shard: a footer and no blocks
+    write_segment(encode_shard(tbl.slice(0, 0), cfg), path)
+    rd = SegmentReader(path)
+    assert len(rd._terms) == 0 and 0 not in rd
+    for raw in (rd.read_all(), rd.read_terms([0, 7919])):
+        assert raw.nbytes == 0
+        assert all(len(v) == 0 for v in decode_postings(raw, True).values()
+                   if isinstance(v, np.ndarray))
 
 
 def test_lone_part_merge_equals_general_merge(tmp_path):
@@ -151,7 +182,7 @@ def test_lone_part_merge_equals_general_merge(tmp_path):
     from open_source_search_engine_ray.index.segments import (
         SegmentReader, decode_posting_row, encode_shard, write_segment)
 
-    path = str(tmp_path / "seg.parquet")
+    path = str(tmp_path / "seg.seg")
     write_segment(encode_shard(_synthetic_postings(
         np.random.default_rng(9)), IndexConfig()), path)
     rd = SegmentReader(path)
@@ -191,8 +222,8 @@ def test_lone_part_merge_equals_general_merge(tmp_path):
 
 
 def test_segment_encode_is_order_independent():
-    """The same postings in shuffled row order encode to an equal segment
-    table: a segment is a pure function of the postings (ROADMAP aim 3)."""
+    """The same postings in shuffled row order encode to the same segment
+    bytes: a segment is a pure function of the postings (ROADMAP aim 3)."""
     from open_source_search_engine_ray.config import IndexConfig
     from open_source_search_engine_ray.index.segments import encode_shard
 
@@ -200,96 +231,118 @@ def test_segment_encode_is_order_independent():
     tbl = _synthetic_postings(rng)
     shuffled = tbl.take(pa.array(rng.permutation(tbl.num_rows)))
     cfg = IndexConfig()
-    assert encode_shard(tbl, cfg).equals(encode_shard(shuffled, cfg))
+    assert encode_shard(tbl, cfg) == encode_shard(shuffled, cfg)
 
 
 def test_old_segment_format_fails_loudly(tmp_path):
-    """Segments of format_version 2 (varbyte blobs) and 4 (stored
-    statistics and block maxima) are refused on open with an error naming
-    the format, not a KeyError at the first query."""
-    from open_source_search_engine_ray.index.segments import SegmentReader
+    """A segment the engine cannot read is refused on open with a
+    ``ValueError`` naming the file: a format_version 6 Parquet segment
+    (and any older Parquet layout), another format version, a wrong
+    magic and a file truncated anywhere."""
+    from open_source_search_engine_ray.config import IndexConfig
+    from open_source_search_engine_ray.index.segments import (
+        SegmentReader, encode_shard, write_segment)
 
-    stats = [("term_id", pa.uint64()), ("salt", pa.int32()),
-             ("df", pa.int64()), ("cf", pa.int64()), ("max_tfq", pa.int64())]
-    v2 = pa.schema(stats + [
-        ("doc_blob", pa.large_binary()), ("dl_blob", pa.large_binary()),
-        ("tf_blobs", pa.list_(pa.large_binary(), 4)),
-        ("cnt_blob", pa.large_binary()), ("pos_blob", pa.large_binary()),
-        ("bm_blob", pa.large_binary())])
-    v4 = pa.schema(stats + [
+    v6 = pa.schema([("term_id", pa.uint64())] + [
         (name, pa.large_list(t)) for name, t in (
             ("doc_ids", pa.uint64()), ("dl", pa.float32()),
             ("tfs", pa.uint32()), ("pos_counts", pa.uint32()),
-            ("pos_deltas", pa.uint32()), ("block_max", pa.float32()))])
-    for version, schema in ((2, v2), (4, v4)):
-        path = str(tmp_path / f"seg-v{version}.parquet")
-        pq.write_table(schema.empty_table(), path)
-        with pytest.raises(ValueError,
-                           match=f"format_version {version}.*rebuild"):
+            ("pos_deltas", pa.uint32()))])
+    path = str(tmp_path / "part-00000.parquet")
+    pq.write_table(v6.empty_table(), path)
+    with pytest.raises(ValueError, match=f"{path} has the Parquet layout "
+                       "of format_version 6.*rebuild"):
+        SegmentReader(path)
+
+    good = encode_shard(_synthetic_postings(np.random.default_rng(1)),
+                        IndexConfig())
+    assert good[-4:] == b"OSEG"
+    version = len(good) - 8
+    bad = {
+        "magic": good[:-1] + b"X",
+        "version": good[:version] + (6).to_bytes(4, "little") + good[-4:],
+        "no trailer": good[:-5],
+        "no footer": good[-24:],
+        "half": good[:len(good) // 2],
+        "no block": good[1000:],
+        "empty": b"",
+    }
+    for what, data in bad.items():
+        path = str(tmp_path / f"part-{what.replace(' ', '_')}.seg")
+        with open(path, "wb") as f:
+            f.write(data)
+        match = ("format_version 6; .*rebuild" if what == "version"
+                 else "truncated|corrupt|no segment magic")
+        with pytest.raises(ValueError, match=f"{path} .*({match})"):
             SegmentReader(path)
+    path = str(tmp_path / "part-good.seg")
+    write_segment(good, path)
+    SegmentReader(path)
 
 
-def test_term_addressed_reads_equal_full_filter(tmp_path):
-    """``read_terms`` finds rows through the reader's resident term
-    dictionary and reads only their row groups: it returns exactly the
-    rows a filter over the whole table keeps, for terms at row-group
-    edges, below the min, above the max, in a gap, duplicated, unsorted
-    and spread over row groups; a term the file lacks costs no read."""
+def test_term_addressed_reads_equal_full_filter(tmp_path, monkeypatch):
+    """``read_terms`` finds rows through the reader's resident footer and
+    reads only their blocks: it returns exactly the rows a filter over
+    the whole-file decode keeps, for terms at block edges, below the
+    min, above the max, in a gap, duplicated, unsorted and spread over
+    blocks.  A term the file lacks costs no read, and a present one
+    costs one ``pread`` of its posting block (and one of its position
+    block with positions)."""
     import pyarrow.compute as pc
 
     from open_source_search_engine_ray.config import IndexConfig
+    from open_source_search_engine_ray.functions.ragged import ragged_select
     from open_source_search_engine_ray.index.segments import (
-        POSITION_COLUMNS, QUERY_COLUMNS, SegmentReader, encode_shard,
-        write_segment)
+        SegmentReader, decode_postings, encode_shard, write_segment)
 
     tbl = _synthetic_postings(np.random.default_rng(5))
     # term ids 5 + 7919·i: one below the min, gaps between terms
     tbl = tbl.set_column(0, "term_id", pc.add(tbl["term_id"], 5))
-    path = str(tmp_path / "seg.parquet")
+    path = str(tmp_path / "seg.seg")
     write_segment(encode_shard(tbl, IndexConfig()), path)
-    md = pq.ParquetFile(path).metadata
-    assert md.num_row_groups >= 3
     rd = SegmentReader(path)
-    full = rd.read_table()
-    terms = full["term_id"].to_numpy()
-    starts = rd._rg_start
-    edges = [int(terms[i]) for i in (0, starts[1] - 1, starts[1],
-                                     starts[2] - 1, starts[2], -1)]
+    full = decode_postings(rd.read_all(), with_positions=True)
+    terms = rd._terms
+    first = rd._post[0]
+    assert len(first) > 3
+    edges = [int(terms[i]) for i in (0, first[1] - 1, first[1],
+                                     first[2] - 1, first[2], -1)]
     lo, hi = int(terms.min()), int(terms.max())
     gap = int(terms[100]) + 1
     reads = []
-    real = rd._pf.read_row_groups
+    pread = os.pread
 
-    def counted(rgs, **kw):
-        reads.append(list(rgs))
-        return real(rgs, **kw)
+    def counted(fd, n, offset):
+        reads.append(offset)
+        return pread(fd, n, offset)
 
-    rd._pf.read_row_groups = counted
+    monkeypatch.setattr(os, "pread", counted)
     requests = [[t] for t in edges] + [
         [lo - 1], [hi + 1], [gap], [0],
         [lo - 1, hi + 1, gap],                       # all absent
         [edges[3], edges[0], edges[3], edges[1]],    # unsorted, repeated
-        [edges[1], edges[2]],                        # adjacent rows, 2 groups
+        [edges[1], edges[2]],                        # adjacent rows, 2 blocks
         [int(terms[3]), int(terms[600]), int(terms[1100]), gap, hi + 1],
         [int(t) for t in terms[::7]] + [int(t) for t in terms[::7]],
     ]
     for want in requests:
+        keep = np.flatnonzero(np.isin(full["term"], want))
         for with_positions in (False, True):
-            cols = QUERY_COLUMNS + (POSITION_COLUMNS if with_positions
-                                    else [])
             n_reads = len(reads)
-            got = rd.read_terms(want, with_positions=with_positions)
-            exp = full.select(cols).filter(pc.is_in(
-                full["term_id"], value_set=pa.array(want, pa.uint64())))
-            assert got.column_names == cols
-            assert got.equals(exp), want
-            present = [t for t in want if t in rd]
-            assert sorted(set(present)) == \
-                exp["term_id"].to_pylist(), want
-            # absent terms are never read; present ones in one call
-            assert len(reads) - n_reads == (1 if present else 0), want
-            if len(set(present)) == 1:
-                assert len(reads[-1]) == 1   # just the term's row group
+            raw = rd.read_terms(want, with_positions=with_positions)
+            got = decode_postings(raw, with_positions=with_positions)
+            for key in ("term", "doc_ids", "tfs", "dl"):
+                assert np.array_equal(got[key], full[key][keep]), want
+            if with_positions:
+                for a, b in zip(got["positions"],
+                                ragged_select(*full["positions"], keep)):
+                    assert np.array_equal(a, b), want
+            present = sorted({t for t in want if t in rd})
+            assert raw.terms.tolist() == present, want
+            if not present:
+                assert len(reads) == n_reads and raw.nbytes == 0, want
+            if len(present) == 1:
+                assert len(reads) - n_reads == 1 + with_positions, want
 
 
 def test_open_segment_one_reader_per_file(tmp_path):
@@ -302,7 +355,7 @@ def test_open_segment_one_reader_per_file(tmp_path):
     from open_source_search_engine_ray.index.segments import (
         encode_shard, open_segment, write_segment)
 
-    path = str(tmp_path / "seg.parquet")
+    path = str(tmp_path / "seg.seg")
     write_segment(encode_shard(_synthetic_postings(
         np.random.default_rng(3), n_terms=50, n=400), IndexConfig()),
         path)

@@ -467,6 +467,53 @@ def test_no_reader_outlives_its_searchers(incr_index):
                 if key[0].startswith(prefix)]
 
 
+def _open_files(prefix: str) -> list[str]:
+    """The files under ``prefix`` (or renamed or deleted from there) this
+    process holds open, from ``/proc/self/fd``."""
+    out = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:         # closed since the listing
+            continue
+        if target.startswith(prefix):
+            out.append(target)
+    return out
+
+
+def test_reader_files_close_with_their_searchers(ray_session):
+    """An ingest-shaped loop — add, compact_merge, reopen, query —
+    leaves no index file open once its searchers are dropped: a reader's
+    file closes when the reader is collected.  (Files, not every entry
+    of ``/proc/self/fd``: Ray's own sockets come and go with its
+    workers.)"""
+    import gc
+
+    idx = IDX + "_fds"
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(lambda: transcripts_dataset(60), idx,
+                input_token="fds:base")
+    prefix = os.path.realpath(idx)
+    assert _open_files(prefix) == []
+    se = IndexSearcher(idx)
+    live = list(range(60))
+    for lo in (60, 80, 100):
+        add_documents(idx,
+                      lambda lo=lo: transcripts_dataset_range(lo, lo + 20),
+                      input_token=f"fds:{lo}")
+        if lo == 80:
+            compact_merge(idx)
+        se = IndexSearcher(idx)
+        live += list(range(lo, lo + 20))
+        _assert_oracle(se, live)
+    n_readers = len(_readers(se))
+    assert n_readers and len(_open_files(prefix)) == n_readers
+    se = None
+    gc.collect()
+    assert _open_files(prefix) == []
+    shutil.rmtree(idx, ignore_errors=True)
+
+
 class _Fresh(IndexSearcher):
     """A searcher that takes over no lists (subclasses neither take over
     nor hand over): the reference a reopened searcher must equal."""
