@@ -51,8 +51,7 @@ def run_headline(sf_dir: str, num_cpus: int, full: bool = True,
     import ray
 
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR",
-             log_to_driver=False)
+             ignore_reinit_error=True, logging_level="ERROR")
     from ray.data import DataContext
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
@@ -254,8 +253,8 @@ def _hot_shingle_bench(n_docs: int) -> int:
 
 
 def main() -> None:
-    # the record is stdout's only line: Ray's driver thread prints raylet
-    # warnings to stdout whatever log_to_driver says, so everything else
+    # the record is stdout's only line: Ray's driver prints raylet
+    # warnings and forwarded worker logs to stdout, so everything else
     # goes to stderr
     record, sys.stdout = sys.stdout, sys.stderr
     sf_dir = _sf_dir()
@@ -276,7 +275,7 @@ def main() -> None:
 
         ray.init(address="local", num_cpus=os.cpu_count(),
                  include_dashboard=False, ignore_reinit_error=True,
-                 logging_level="ERROR", log_to_driver=False)
+                 logging_level="ERROR")
         from ray.data import DataContext
         DataContext.get_current().enable_progress_bars = False
         from open_source_search_engine_ray.sources.transcripts import (

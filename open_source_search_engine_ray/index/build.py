@@ -172,7 +172,9 @@ def _write_partition(groups: dict | None, part: int, hot: np.ndarray,
             write_segment(encode_from_groups(
                 terms, groups["doc_ids"][sel], groups["dl"][sel],
                 groups["tfs"][sel], flat, np.diff(offs)), path)
-            n_terms, nbytes = len(np.unique(terms)), os.path.getsize(path)
+            # terms is sorted: count its boundaries
+            n_terms = 1 + int(np.count_nonzero(terms[1:] != terms[:-1]))
+            nbytes = os.path.getsize(path)
         mf.write_manifest(
             out_dir, shard, fingerprint=fingerprint, n_terms=n_terms,
             n_postings=len(sel), bytes_written=nbytes,

@@ -342,27 +342,14 @@ class SegmentReader:
         i = int(np.searchsorted(self._terms, t))
         return i < len(self._terms) and self._terms[i] == t
 
-    def read_terms(self, term_ids: list[int],
+    def read_terms(self, term_id: int,
                    with_positions: bool = True) -> RawRows:
-        """Rows of ``term_ids`` in term order, with the position columns
-        when ``with_positions``.  Terms the file lacks cost no I/O; a run
-        of consecutive rows costs one read of each block holding it."""
-        want = np.asarray(term_ids, dtype=np.uint64)
-        if len(want) > 1:
-            want = np.unique(want)
-        lo = np.searchsorted(self._terms, want, side="left")
-        rows = lo[np.searchsorted(self._terms, want, side="right") > lo]
-        if len(rows) <= 1:
-            i = int(rows[0]) if len(rows) else 0
-            return self._run(i, i + len(rows), with_positions)
-        cut = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(),
-               len(rows)]
-        parts = [self._run(int(rows[a]), int(rows[b - 1]) + 1,
-                           with_positions) for a, b in zip(cut, cut[1:])]
-        cols = ("terms", "df", "gaps", "tfs", "dl") + (
-            ("pos_counts", "pos_deltas") if with_positions else ())
-        return RawRows(nbytes=sum(p.nbytes for p in parts), **{
-            c: np.concatenate([getattr(p, c) for p in parts]) for c in cols})
+        """The row of ``term_id`` (none when the file lacks it, at no
+        I/O), with the position columns when ``with_positions``."""
+        t = np.uint64(term_id)
+        i = int(np.searchsorted(self._terms, t))
+        n = int(i < len(self._terms) and self._terms[i] == t)
+        return self._run(i, i + n, with_positions)
 
     def read_all(self) -> RawRows:
         """Every row, positions included (compaction)."""

@@ -209,7 +209,7 @@ class _GenIndex:
             if rd is None or term_id not in rd:
                 continue
             decoded.append(decode_posting_row(
-                rd.read_terms([term_id], with_positions=with_positions),
+                rd.read_terms(term_id, with_positions=with_positions),
                 with_positions))
         return decoded
 

@@ -453,8 +453,7 @@ def select_plan(query: ParsedQuery, lists: dict[int, TermPostings | None],
     ``IndexSearcher.explain()`` reports, so the displayed plan cannot
     diverge from the path that actually runs.
 
-    Tags: ``impact-single`` (huge single-term list whose impact order
-    is built, TA chunks),
+    Tags: ``impact-single`` (huge single-term list, TA chunks),
     ``blockmax-single`` (block-max bound walk), ``maxscore`` (disjunction
     with df spread), ``impact-union`` (uniform stopword disjunction),
     ``exact`` (candidate generation + canonical scoring)."""
@@ -469,10 +468,8 @@ def select_plan(query: ParsedQuery, lists: dict[int, TermPostings | None],
         if tp is not None and t.field is None:
             # huge lists (df≈N stopwords): near-uniform block maxima
             # make the block-bound walk visit most blocks — the
-            # impact-ordered path answers from its first chunk instead,
-            # once the list has its impact order: building it costs
-            # several block-max walks, so a cold list walks its blocks
-            if tp.df > IMPACT_UNION_MIN_POSTINGS and tp.impact is not None:
+            # impact-ordered path answers from its first chunk instead
+            if tp.df > IMPACT_UNION_MIN_POSTINGS:
                 return "impact-single"
             if tp.block_max is not None and tp.df >= BLOCK_MAX_MIN_DF:
                 return "blockmax-single"

@@ -88,14 +88,12 @@ def test_impact_ordered_union_identical(searcher, monkeypatch):
     assert engaged > 0
 
 
-def test_cold_head_list_walks_block_maxima(searcher, monkeypatch):
-    """A one-term query over a cold list of df >
-    ``IMPACT_UNION_MIN_POSTINGS`` takes ``blockmax-single``: building
-    the list's impact order costs several block-max walks, so
-    ``impact-single`` is chosen only once an impact-ordered union has
-    built it.  ``explain()`` reports the plan ``run()`` takes, and both
-    plans return exactly the exact results.  The thresholds are lowered
-    so the test corpus has such lists."""
+def test_head_list_plan_matches_explain(searcher, monkeypatch):
+    """A one-term query over a list of df > ``IMPACT_UNION_MIN_POSTINGS``
+    takes ``impact-single``, cold (its first use builds the impact
+    order) and warm alike; ``explain()`` reports the plan ``run()``
+    takes, and both runs return exactly the exact results.  The
+    thresholds are lowered so the test corpus has such lists."""
     from open_source_search_engine_ray.query import engine, kernel
     from open_source_search_engine_ray.query.engine import SearchRequest
 
@@ -116,14 +114,11 @@ def test_cold_head_list_walks_block_maxima(searcher, monkeypatch):
     assert tp.df > kernel.IMPACT_UNION_MIN_POSTINGS and tp.impact is None
     exact = evaluate(pq, {pq.terms[0].term_id: tp}, se.n_docs, se.avgdl,
                      se.config, 10, prune=False)
-    for plan in ("blockmax-single", "impact-single"):
-        assert se.explain(SearchRequest("the"))["plan"] == plan
+    for cold in (True, False):
+        assert (tp.impact is None) == cold
+        assert se.explain(SearchRequest("the"))["plan"] == "impact-single"
         ran.clear()
         r = se.run(SearchRequest("the"))
-        assert ran == [plan]
+        assert ran == ["impact-single"]
         assert list(r.doc_ids) == list(exact[0])
         assert list(r.scores) == list(exact[1])
-        # an impact-ordered union builds the list's impact order
-        ran.clear()
-        se.run(SearchRequest("the of"))
-        assert ran == ["impact-union"] and tp.impact is not None
