@@ -44,8 +44,10 @@ class IndexConfig:
     # Arrow IPC segment files, never released, but cached indexes of it
     # exist, so the number is not reused; v6: a segment row holds only the
     # term id and its lists, in 128-row groups; v7: term-addressed zstd
-    # blocks behind a resident footer, no Parquet)
-    format_version: int = 7
+    # blocks behind a resident footer, no Parquet; v8: postings store
+    # gaps between doc ordinals and no dl, through a doc table per
+    # generation)
+    format_version: int = 8
     # BM25 parameters (the scoring contract; see functions/bm25.py)
     k1: float = 1.2
     b: float = 0.75

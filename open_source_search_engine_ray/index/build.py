@@ -4,10 +4,11 @@
         ├─ posting partials ─▶ shard-sorted runs (shard = term % P)
         ├─ doc-stat partials ─▶ docstats (N, avgdl, dl table)
         └─ docstore parts
-    runs ─▶ per-partition encode tasks: attach dl, merge partials, count
-            each term's exact docs and turns, split the hot ones by doc
-            into shards P + p·S + doc % S, write segments + manifests
-            (resumable)
+    docstats ─▶ the generation's doc table (sorted doc ids + dl)
+    runs ─▶ per-partition encode tasks: merge partials, count each
+            term's exact docs and turns, split the hot ones by doc into
+            shards P + p·S + doc % S, rank each posting's doc in the doc
+            table, write segments + manifests (resumable)
 
 Pipeline lifecycle mirrors the reference's index path
 (``SpiderLoop → XmlDoc::indexDoc → hashAll → Msg4 shard routing → Rdb``
@@ -21,9 +22,11 @@ segments and the same hot terms.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import asdict
 
@@ -34,7 +37,8 @@ from ..config import IndexConfig, NUM_FIELDS
 from ..functions.ragged import ragged_select
 from ..stages.tokenize import TokenizePostings
 from . import manifest as mf
-from .segments import encode_from_groups, merge_partials, write_segment
+from .segments import (doc_ordinals, encode_doc_table, encode_from_groups,
+                       merge_partials, write_segment)
 
 
 def _fingerprint(input_token: str, config: IndexConfig) -> str:
@@ -77,7 +81,37 @@ def load_doc_stats(out_dir: str):
     doc_ids = tbl["doc_id"].to_numpy().astype(np.uint64)
     dl_q = tbl["dl_q"].to_numpy().astype(np.int64)
     order = np.argsort(doc_ids)
-    return tbl, doc_ids[order], (dl_q[order].astype(np.float64) / 4.0).astype(np.float32), dl_q
+    return tbl, doc_ids[order], dl_of(dl_q[order]), dl_q
+
+
+def dl_of(dl_q: np.ndarray) -> np.ndarray:
+    """float32 doc lengths from docstats' ``dl_q`` (4 × the length)."""
+    return (np.asarray(dl_q).astype(np.float64) / 4.0).astype(np.float32)
+
+
+def _table_of(part: int, config: IndexConfig) -> int:
+    """The doc table partition ``part``'s shards index: the
+    generation's one, or its salt's under ``salt_all_terms``."""
+    return part % config.num_salts if config.salt_all_terms else 0
+
+
+def doc_tables(doc_ids: np.ndarray, dl: np.ndarray,
+               config: IndexConfig) -> list[tuple]:
+    """A generation's doc tables from its sorted (doc_ids, dl): the one
+    table, or under ``salt_all_terms`` one per salt, table s holding the
+    docs with doc % S == s."""
+    if not config.salt_all_terms:
+        return [(doc_ids, dl)]
+    salt = doc_ids % np.uint64(config.num_salts)
+    return [(doc_ids[salt == s], dl[salt == s])
+            for s in range(config.num_salts)]
+
+
+def write_doc_tables(out_dir: str, tables: list[tuple],
+                     first: int = 0) -> None:
+    """Write doc tables ``first``, ``first`` + 1, ... of ``out_dir``."""
+    for t, (ids, dl) in enumerate(tables, first):
+        write_segment(encode_doc_table(ids, dl), mf.doc_table_path(out_dir, t))
 
 
 def _docstats_totals(out_dir: str) -> tuple[int, int]:
@@ -139,18 +173,22 @@ def _hot_terms(groups: dict, n_turns: int, config: IndexConfig) -> np.ndarray:
 
 
 def _write_partition(groups: dict | None, part: int, hot: np.ndarray,
-                     config: IndexConfig, out_dir: str,
-                     fingerprint: str) -> list[dict]:
+                     config: IndexConfig, out_dir: str, fingerprint: str,
+                     table_ids: np.ndarray) -> list[dict]:
     """Encode and write partition ``part``: the (term, doc) groups
     (sorted by term, doc) of ``hot`` terms split by doc % S into
-    :func:`hot_shards`, every other group into shard ``part``.  The
-    build and compaction both write through here.  One manifest per
-    shard; the partition's own, listing its hot terms, goes last — it is
-    the resume commit point of the whole partition."""
+    :func:`hot_shards`, every other group into shard ``part``, each
+    posting's doc stored as its ordinal in the partition's doc table,
+    whose sorted doc ids are ``table_ids``.  The build and compaction
+    both write through here.  One manifest per shard; the partition's
+    own, listing its hot terms, goes last — it is the resume commit
+    point of the whole partition."""
     t0 = time.time()
     p, s = config.num_partitions, config.num_salts
     hot_list = [int(t) for t in hot]
     n = 0 if groups is None else len(groups["term"])
+    if n:
+        ords = doc_ordinals(table_ids, groups["doc_ids"], f"partition {part}")
     shard_of = np.full(n, part, dtype=np.int64)
     if len(hot):
         is_hot = np.isin(groups["term"], hot)
@@ -170,8 +208,8 @@ def _write_partition(groups: dict | None, part: int, hot: np.ndarray,
             terms = groups["term"][sel]
             path = mf.segment_path(out_dir, shard)
             write_segment(encode_from_groups(
-                terms, groups["doc_ids"][sel], groups["dl"][sel],
-                groups["tfs"][sel], flat, np.diff(offs)), path)
+                terms, ords[sel], groups["tfs"][sel], flat, np.diff(offs),
+                len(table_ids), _table_of(part, config)), path)
             # terms is sorted: count its boundaries
             n_terms = 1 + int(np.count_nonzero(terms[1:] != terms[:-1]))
             nbytes = os.path.getsize(path)
@@ -188,26 +226,18 @@ def _write_partition(groups: dict | None, part: int, hot: np.ndarray,
 
 
 def _encode_partition(tbl: pa.Table | None, part: int, config: IndexConfig,
-                      n_turns: int, dl, out_dir: str,
+                      n_turns: int, table_ids: np.ndarray, out_dir: str,
                       fingerprint: str) -> list[dict]:
     """THE build's encode step, for the spill and the small path alike:
-    attach doc lengths (``dl`` = sorted doc_ids, float32 dl) to
-    partition ``part``'s posting partials, merge them, decide its hot
-    terms (:func:`_hot_terms`) and write its shards."""
-    groups = None
-    if tbl is not None and tbl.num_rows:
-        dl_ids, dl_vals = dl
-        doc = tbl["doc_id"].to_numpy()
-        idx = np.clip(np.searchsorted(dl_ids, doc), 0,
-                      max(0, len(dl_ids) - 1))
-        vals = dl_vals[idx].astype(np.float32)
-        vals[dl_ids[idx] != doc] = np.float32(0.0)
-        groups = merge_partials(
-            tbl.append_column("dl", pa.array(vals, pa.float32())), config)
+    merge partition ``part``'s posting partials, decide its hot terms
+    (:func:`_hot_terms`) and write its shards, whose ordinals index the
+    doc table of sorted doc ids ``table_ids``."""
+    groups = (merge_partials(tbl, config)
+              if tbl is not None and tbl.num_rows else None)
     hot = (np.zeros(0, dtype=np.uint64) if groups is None
            else _hot_terms(groups, n_turns, config))
     return _write_partition(groups, part, hot, config, out_dir,
-                            fingerprint)
+                            fingerprint, table_ids)
 
 
 def _resumed_partition(out_dir: str, part: int,
@@ -247,23 +277,29 @@ def _load_dl_partition(dl_dir: str, salt: int,
 
 def _encode_shard_chunk(run_files: list[str], parts: list[int],
                         out_dir: str, config: IndexConfig,
-                        n_turns: int, fingerprint: str, dl) -> list[dict]:
+                        n_turns: int, fingerprint: str,
+                        table_ids) -> list[dict]:
     """Merge+encode a chunk of partitions from the spilled runs (one Ray
-    task; the ``RdbMerge``/``posdbMerge_r`` analogue).  ``dl`` is either
-    the broadcast (sorted doc_ids, float32 dl) pair, or — doc-partitioned
-    mode — ``("parts", dl_dir, salt)``: the task loads ONLY its salt's dl
-    partition (1/S of the corpus), because every doc in its partitions
-    satisfies doc % S == salt.  Doc lengths are attached here because the
-    fused spill pass ran before they were known."""
+    task; the ``RdbMerge``/``posdbMerge_r`` analogue).  ``table_ids`` is
+    either the broadcast sorted doc ids of the generation's doc table,
+    or — doc-partitioned mode — ``("parts", dl_dir, salt)``: the task
+    loads ONLY its salt's dl partition (1/S of the corpus), because
+    every doc in its partitions satisfies doc % S == salt, and writes it
+    as its salt's doc table.  Ordinals are assigned here because the
+    fused spill pass ran before the doc set was known."""
     from ..stages.spill import read_shards
 
-    if len(dl) == 3 and dl[0] == "parts":
-        dl = _load_dl_partition(dl[1], dl[2], config)
+    if isinstance(table_ids, tuple):
+        _, dl_dir, salt = table_ids
+        ids, dl = _load_dl_partition(dl_dir, salt, config)
+        write_doc_tables(out_dir, [(ids, dl)], salt)
+        table_ids = ids
     by_part = read_shards(run_files, parts)
     out = []
     for part in parts:
         out.extend(_encode_partition(by_part.get(part), part, config,
-                                     n_turns, dl, out_dir, fingerprint))
+                                     n_turns, table_ids, out_dir,
+                                     fingerprint))
     return out
 
 
@@ -274,8 +310,6 @@ def _write_doc_stats_partitioned(stats_src_dir: str, out_dir: str,
     on the driver), write the docstats table via ``write_parquet``, and
     write the per-(salt, subpart) dl files the encode tasks read.
     Returns (n_docs, total_dlq)."""
-    import shutil
-
     import pyarrow.parquet as pq
     import ray.data
     from ray.data.aggregate import Count, Min, Sum
@@ -315,8 +349,7 @@ def _write_doc_stats_partitioned(stats_src_dir: str, out_dir: str,
         part = int(g["part"][0].as_py())
         doc = g["doc_id"].to_numpy().astype(np.uint64)
         order = np.argsort(doc)
-        dl32 = (g["dl_q"].to_numpy().astype(np.float64) / 4.0).astype(
-            np.float32)
+        dl32 = dl_of(g["dl_q"].to_numpy())
         path = os.path.join(dl_dir, f"dl-{part:05d}.parquet")
         pq.write_table(pa.table({
             "doc_id": pa.array(doc[order], pa.uint64()),
@@ -350,8 +383,6 @@ def _build_small_fused(table: pa.Table, out_dir: str, config: IndexConfig,
     + every partition encoded in a loop through the spill path's own
     encode step — the same segments and hot terms as the distributed
     build (tested), none of its fixed costs."""
-    import shutil
-
     import pyarrow.parquet as pq
 
     t = time.time()
@@ -410,6 +441,8 @@ def _build_small_fused(table: pa.Table, out_dir: str, config: IndexConfig,
     # tasks to load 1/S of the corpus lengths, and this path holds all
     # lengths in memory already
     t = time.time()
+    tables = doc_tables(doc_ids_sorted, dl32, config)
+    write_doc_tables(out_dir, tables)
     postings = pa.concat_tables(postings_parts) if postings_parts else None
     shard_col = (postings["shard"].to_numpy() if postings is not None
                  else np.zeros(0, dtype=np.int32))
@@ -418,7 +451,7 @@ def _build_small_fused(table: pa.Table, out_dir: str, config: IndexConfig,
         sel = np.flatnonzero(shard_col == part)
         tbl = postings.take(pa.array(sel)) if len(sel) else None
         summary.extend(_encode_partition(
-            tbl, part, config, n_turns, (doc_ids_sorted, dl32),
+            tbl, part, config, n_turns, tables[_table_of(part, config)][0],
             out_dir, fingerprint))
     phase_sec["encode"] = round(time.time() - t, 3)
     return summary, {"n_docs": n_docs, "total_dlq": total_dlq,
@@ -453,8 +486,6 @@ def _build_fused_spill(transcripts_ds_factory, out_dir: str,
     """Fused single-read build: spill pass (postings runs + doc stats +
     docstore) → driver stat merge → per-partition encode.  Returns
     (summary, stats) where stats has n_docs/total_dlq/avgdl/n_turns."""
-    import shutil
-
     import ray
 
     from ..stages.spill import reserve_spill_writers, spill_postings
@@ -549,7 +580,8 @@ def _build_fused_spill(transcripts_ds_factory, out_dir: str,
         _, doc_ids_sorted, dl32, dl_q = load_doc_stats(out_dir)
         n_docs, total_dlq = len(doc_ids_sorted), int(dl_q.sum())
         _check_dl_ceiling(n_docs, config)
-        dl_ref = ray.put((doc_ids_sorted, dl32))
+        write_doc_tables(out_dir, [(doc_ids_sorted, dl32)])
+        ids_ref = ray.put(doc_ids_sorted)
     avgdl = _avgdl(n_docs, total_dlq)
     phase_sec["docstats_merge"] = round(time.time() - t, 3)
 
@@ -587,7 +619,7 @@ def _build_fused_spill(transcripts_ds_factory, out_dir: str,
                     for chunk in _chunked([u for u in pending
                                            if u % config.num_salts == salt])]
         else:
-            futs = [task.remote(run_files, chunk, *args, dl_ref)
+            futs = [task.remote(run_files, chunk, *args, ids_ref)
                     for chunk in _chunked(pending)]
         for res in ray.get(futs):
             summary.extend(res)
@@ -681,6 +713,7 @@ def build_index(transcripts_ds_factory, out_dir: str,
         "input_token": input_token,
         "config": asdict(config),
         "config_hash": config.config_hash(),
+        "writer_digest": writer_digest(),
         "n_docs": stats["n_docs"],
         "total_dlq": stats["total_dlq"],
         "avgdl": stats["avgdl"],
@@ -706,6 +739,38 @@ def build_index(transcripts_ds_factory, out_dir: str,
     return meta
 
 
+@functools.cache
+def writer_digest() -> str:
+    """Digest of the index writer's source (this module and
+    ``segments.py``).  A build records it in its meta, so an index cache
+    keyed on it never serves an index an older writer laid out under the
+    same config."""
+    from . import segments
+
+    h = hashlib.sha256()
+    for path in (__file__, segments.__file__):
+        with open(path, "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()[:16]
+
+
+def ensure_cached_index(idx_dir: str, build) -> str:
+    """``idx_dir`` once it holds a complete index this writer built:
+    reused as it is, else cleared and built by ``build(idx_dir)`` —
+    the index caches' one reuse rule."""
+    try:
+        with open(os.path.join(idx_dir, "index_meta.json")) as f:
+            digest = json.load(f).get("writer_digest")
+    except (OSError, ValueError):
+        pass                        # absent, or a build to resume
+    else:
+        if digest == writer_digest():
+            return idx_dir
+        shutil.rmtree(idx_dir)      # complete, but another writer's
+    build(idx_dir)
+    return idx_dir
+
+
 def load_meta(out_dir: str) -> dict:
     """The index's ``index_meta.json``.  Raises ``ValueError`` for an
     index of another format_version: its shard numbering (or segment
@@ -717,7 +782,7 @@ def load_meta(out_dir: str) -> dict:
         raise ValueError(
             f"index {out_dir} has format_version {found}; this engine "
             f"reads format_version {IndexConfig.format_version} "
-            f"(term-addressed zstd block segments) — rebuild the index "
+            f"(block segments of doc ordinals) — rebuild the index "
             f"with build_index")
     return meta
 

@@ -29,6 +29,20 @@ def segment_path(out_dir: str, shard: int, generation: int = 0) -> str:
                         f"part-{shard:05d}{SEGMENT_SUFFIX}")
 
 
+# a generation's doc table ``table``: ``table-{table:05d}`` + this, beside
+# the segment files whose ordinals index it
+DOC_TABLE_SUFFIX = ".docs"
+
+
+def doc_table_name(table: int) -> str:
+    return f"table-{table:05d}{DOC_TABLE_SUFFIX}"
+
+
+def doc_table_path(out_dir: str, table: int, generation: int = 0) -> str:
+    return os.path.join(out_dir, "segments", f"gen={generation}",
+                        doc_table_name(table))
+
+
 def write_manifest(out_dir: str, shard: int, *, fingerprint: str,
                    n_terms: int, n_postings: int, bytes_written: int,
                    wall_sec: float, salt: int | None = None,

@@ -1,7 +1,7 @@
 """Incremental index maintenance: append generations, tombstone deletes,
 stats refresh, and compaction.
 
-Mirrors the reference's LSM lifecycle re-expressed over immutable Parquet
+Mirrors the reference's LSM lifecycle re-expressed over immutable
 generations:
 
 - incremental adds land in a NEW generation (the in-memory tree dumped to a
@@ -244,15 +244,34 @@ def _live_files(out_dir: str, gen_list: list[dict], subdir: str, tomb,
             yield t if keep.all() else t.filter(pa.array(keep))
 
 
+def _live_docstats(out_dir: str, gen_list: list[dict], tomb):
+    """Yield the live (doc ids uint64, dl_q int64) of every generation's
+    docstats, one input file at a time."""
+    for t in _live_files(out_dir, gen_list, "docstats", tomb,
+                         ["doc_id", "dl_q"]):
+        yield (t["doc_id"].to_numpy().astype(np.uint64),
+               t["dl_q"].to_numpy().astype(np.int64))
+
+
 def _live_totals(out_dir: str, gen_list: list[dict],
                  tomb) -> tuple[int, int]:
     """Live (n_docs, total_dlq) from every generation's docstats."""
     n_docs = total_dlq = 0
-    for t in _live_files(out_dir, gen_list, "docstats", tomb,
-                         ["doc_id", "dl_q"]):
-        n_docs += t.num_rows
-        total_dlq += int(t["dl_q"].to_numpy().sum())
+    for ids, dl_q in _live_docstats(out_dir, gen_list, tomb):
+        n_docs += len(ids)
+        total_dlq += int(dl_q.sum())
     return n_docs, total_dlq
+
+
+def _live_doc_table(out_dir: str, gen_list: list[dict],
+                    tomb) -> tuple[np.ndarray, np.ndarray]:
+    """The live docs, sorted: (doc ids uint64, dl_q int64).  An add is
+    an upsert, so each live doc is in one generation's docstats."""
+    parts = list(_live_docstats(out_dir, gen_list, tomb))
+    ids = np.concatenate([i for i, _ in parts] + [np.zeros(0, np.uint64)])
+    dl_q = np.concatenate([q for _, q in parts] + [np.zeros(0, np.int64)])
+    order = np.argsort(ids)
+    return ids[order], dl_q[order]
 
 
 def _carry_live(out_dir: str, gen_list: list[dict], subdir: str, tomb,
@@ -353,13 +372,14 @@ def merge_postings(parts, tomb, with_positions: bool = True,
     it is, its arrays uncopied.  The searchers, the fan-out coordinator
     and compaction all merge here.
 
-    → ``doc_ids``, ``tfs``, ``dl`` (+ ``term`` with ``by_term``,
-    ``positions`` = (flat, offsets) with ``with_positions``); ``None``
-    when nothing survives."""
+    → ``doc_ids``, ``tfs`` and ``dl`` — ``term`` in place of ``dl``
+    with ``by_term``: compaction ranks the merged docs in its own doc
+    table — and ``positions`` = (flat, offsets) with
+    ``with_positions``; ``None`` when nothing survives."""
     from ..functions.ragged import ragged_concat, ragged_select
 
     tdoc, tdead = tomb
-    cols = ("term", "doc_ids", "tfs", "dl") if by_term else (
+    cols = ("term", "doc_ids", "tfs") if by_term else (
         "doc_ids", "tfs", "dl")
     kept: dict[str, list] = {c: [] for c in cols + (
         ("positions",) if with_positions else ())}
@@ -387,10 +407,13 @@ def merge_postings(parts, tomb, with_positions: bool = True,
 
 def _merge_partition(gen_dirs: list[tuple[int, str]], part: int,
                      union_hot: np.ndarray, tomb, config: IndexConfig,
-                     new_dir: str, fingerprint: str) -> list[dict]:
+                     new_dir: str, fingerprint: str,
+                     table_ids: np.ndarray) -> list[dict]:
     """Merge partition ``part`` of every generation — its own shard and
     its hot shards, where every posting of its terms lives in any
-    generation — and write it back split under the union hot set."""
+    generation — and write it back split under the union hot set, its
+    ordinals indexing the compacted doc table of sorted doc ids
+    ``table_ids``."""
     from .build import _write_partition, hot_shards
     from .manifest import segment_path as seg_path
     from .segments import SegmentReader, decode_postings
@@ -414,7 +437,7 @@ def _merge_partition(gen_dirs: list[tuple[int, str]], part: int,
     p = np.uint64(config.num_partitions)
     return _write_partition(merge_postings(gen_parts(), tomb, by_term=True),
                             part, union_hot[union_hot % p == part], config,
-                            new_dir, fingerprint)
+                            new_dir, fingerprint, table_ids)
 
 
 def compact_merge(out_dir: str) -> dict:
@@ -424,7 +447,8 @@ def compact_merge(out_dir: str) -> dict:
     (``RdbList.cpp:2186-2400``), no re-tokenization."""
     import ray
 
-    from .build import _avgdl, _partitions
+    from .build import (_avgdl, _partitions, _table_of, dl_of, doc_tables,
+                        write_doc_tables, writer_digest)
 
     base_meta = load_meta(out_dir)
     cfg = index_config(base_meta)
@@ -448,8 +472,13 @@ def compact_merge(out_dir: str) -> dict:
     os.makedirs(new_dir, exist_ok=True)
     fingerprint = f"compact-merge:{base_meta['fingerprint']}"
 
-    n_docs, total_dlq = _live_totals(out_dir, gen_list, tomb)
+    # the live docs, ranked again: the compacted generation's doc tables
+    ids, dl_q = _live_doc_table(out_dir, gen_list, tomb)
+    n_docs, total_dlq = len(ids), int(dl_q.sum())
     avgdl = _avgdl(n_docs, total_dlq)
+    tables = doc_tables(ids, dl_of(dl_q), cfg)
+    write_doc_tables(new_dir, tables)
+    table_refs = [ray.put(t_ids) for t_ids, _ in tables]
     tomb_ref = ray.put(tomb)
     # the live docstats + docstore carry (one masked copy per input file,
     # one output file per table) runs beside the posting merge
@@ -462,7 +491,8 @@ def compact_merge(out_dir: str) -> dict:
             os.path.join(new_dir, subdir, "part-00000.parquet")))
     task = ray.remote(num_cpus=1)(_merge_partition)
     merged = [task.remote(gen_dirs, part, union_hot, tomb_ref, cfg,
-                          new_dir, fingerprint)
+                          new_dir, fingerprint,
+                          table_refs[_table_of(part, cfg)])
               for part in _partitions(cfg)]
     _, n_turns = ray.get(carried)
     rows = [row for res in ray.get(merged) for row in res]
@@ -470,7 +500,7 @@ def compact_merge(out_dir: str) -> dict:
     n_postings = sum(r["n_postings"] for r in rows)
     meta = dict(base_meta)
     meta.update({
-        "fingerprint": fingerprint,
+        "fingerprint": fingerprint, "writer_digest": writer_digest(),
         "n_docs": n_docs, "total_dlq": total_dlq, "avgdl": avgdl,
         "n_turns": n_turns,
         "hot_terms": [int(t) for t in union_hot],

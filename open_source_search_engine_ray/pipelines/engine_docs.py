@@ -6,7 +6,7 @@ scoring contract.
 
 This closes the loop the transcripts pytest oracle can't: an
 *independent* (SQL) implementation checks the whole distributed path —
-tokenize → spill → shuffle → Parquet list-column segments → block-max
+tokenize → spill → shuffle → block segments → block-max
 query engine — value-for-value.
 
 What makes SQL replication exact:
@@ -44,6 +44,8 @@ ENGINE_DOC_QUERIES: list[tuple[str, str]] = [
 TOP_K = 10
 K1 = 1.2
 B = 0.75
+# built indexes, one per (sf dir, config, writer)
+DOCS_CACHE_ROOT = "/tmp/osse_docs_idx"
 
 
 def _docs_as_transcripts(sf_dir: str):
@@ -68,17 +70,16 @@ def _docs_as_transcripts(sf_dir: str):
 
 
 def _ensure_docs_index(sf_dir: str) -> str:
-    from ..index.build import build_index
+    from ..index.build import build_index, ensure_cached_index, writer_digest
 
     cfg = IndexConfig(index_bigrams=False, num_partitions=8, num_salts=4)
-    idx_dir = os.path.join("/tmp/osse_docs_idx",
-                           os.path.basename(sf_dir.rstrip("/")) + "-" +
-                           cfg.config_hash())
-    if not os.path.exists(os.path.join(idx_dir, "index_meta.json")):
-        build_index(lambda: _docs_as_transcripts(sf_dir), idx_dir, cfg,
-                    input_token=f"docs:{sf_dir}", resume=True,
-                    write_docstore=False)
-    return idx_dir
+    return ensure_cached_index(
+        os.path.join(DOCS_CACHE_ROOT,
+                     f"{os.path.basename(sf_dir.rstrip('/'))}-"
+                     f"{cfg.config_hash()}-{writer_digest()}"),
+        lambda d: build_index(lambda: _docs_as_transcripts(sf_dir), d, cfg,
+                              input_token=f"docs:{sf_dir}", resume=True,
+                              write_docstore=False))
 
 
 def _topk_with_ties(se, q: str):

@@ -1,7 +1,8 @@
 """Flagship transcripts pipelines exposed to the driver: full index build +
 BM25 top-k over the synthetic transcripts corpus (FIXTURES.md scale mapping
-per sf dir).  The index build is cached/resumable under /tmp keyed by scale
-+ config fingerprint, so repeated driver calls reuse completed shards."""
+per sf dir).  The index build is cached/resumable under /tmp keyed by scale,
+config fingerprint and the writer's source digest, so repeated driver calls
+reuse completed shards and never an index an older writer laid out."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import IndexConfig, NUM_FIELDS
-from ..index.build import build_index, load_meta
+from ..index.build import (build_index, ensure_cached_index, load_meta,
+                           writer_digest)
 from ..query.engine import evaluate_queries_distributed
 from ..sources.queryset import query_set
 from ..sources.transcripts import n_conv_for_sf, transcripts_dataset
@@ -23,14 +25,11 @@ CACHE_ROOT = "/tmp/osse_idx_cache"
 def ensure_index(sf_dir: str, config: IndexConfig | None = None) -> str:
     config = config or IndexConfig()
     n = n_conv_for_sf(sf_dir)
-    idx_dir = os.path.join(CACHE_ROOT,
-                           f"n{n}-{config.config_hash()}")
-    token = f"synthetic:n={n}"
-    meta_path = os.path.join(idx_dir, "index_meta.json")
-    if not os.path.exists(meta_path):
-        build_index(lambda: transcripts_dataset(n), idx_dir, config,
-                    input_token=token, resume=True)
-    return idx_dir
+    return ensure_cached_index(
+        os.path.join(CACHE_ROOT,
+                     f"n{n}-{config.config_hash()}-{writer_digest()}"),
+        lambda d: build_index(lambda: transcripts_dataset(n), d, config,
+                              input_token=f"synthetic:n={n}", resume=True))
 
 
 def _ranked_rows(sf_dir: str, queries: list[tuple[str, str, int]]):

@@ -85,7 +85,7 @@ class OracleIndex:
             tfs = np.asarray([docs[int(d)][0] for d in dids], dtype=np.int64)
             dl = np.asarray([self.dl32[int(d)] for d in dids],
                             dtype=np.float32)
-            # same deterministic cap as the engine (segments.py:encode_shard):
+            # the engine's deterministic cap (segments.py:merge_partials):
             # first max_positions_per_doc sorted positions per (term, doc)
             cap = cfg.max_positions_per_doc
             plists = [sorted(docs[int(d)][1])[:cap] for d in dids]

@@ -146,11 +146,16 @@ def test_field_weight_signal(test_index, oracle):
 
 
 def test_determinism_across_parallelism(test_index, ray_session):
-    """FIXTURES §4.3: different block counts → identical index contents."""
+    """FIXTURES §4.3: different block counts → identical index contents:
+    byte-identical segment files and doc tables, and the same results."""
     idx2 = IDX + "_p2"
     shutil.rmtree(idx2, ignore_errors=True)
     build_index(lambda: transcripts_dataset(N_CONV, override_num_blocks=3),
                 idx2, input_token=f"synthetic:n={N_CONV}:blocks3")
+    files = _segment_bytes(IDX)
+    assert "table-00000.docs" in files and any(
+        name.endswith(".seg") for name in files)
+    assert _segment_bytes(idx2) == files
     se1, se2 = IndexSearcher(IDX), IndexSearcher(idx2)
     assert se1.n_docs == se2.n_docs and se1.avgdl == se2.avgdl
     for qid, q, k in query_set():
@@ -449,10 +454,13 @@ def test_build_is_a_function_of_the_corpus(salted_index, ray_session,
 def test_old_layout_fails_loudly(salted_index, tmp_path):
     """A format_version 3 index numbered its hot shards by hot-term rank,
     a format_version 4 one stored statistics and block maxima in its
-    segments, a format_version 5 one wrote Arrow IPC segment files and a
-    format_version 6 one Parquet segment files: opening any must fail
-    and ask for a rebuild, not read wrong shards, columns or no files."""
+    segments, a format_version 5 one wrote Arrow IPC segment files, a
+    format_version 6 one Parquet segment files and a format_version 7
+    one docId gaps and doc lengths in its posting blocks: opening any
+    must fail, name the index and ask for a rebuild, not read wrong
+    shards, columns or no files."""
     import json
+    import re
 
     from open_source_search_engine_ray.index.merge import compact_merge
 
@@ -462,15 +470,59 @@ def test_old_layout_fails_loudly(salted_index, tmp_path):
     with open(path) as f:
         meta = json.load(f)
     assert meta["hot_terms"]
-    for version in (3, 4, 5, 6):
+    for version in (3, 4, 5, 6, 7):
         meta["config"]["format_version"] = version
         with open(path, "w") as f:
             json.dump(meta, f)
-        match = f"format_version {version}.*rebuild"
+        match = f"{re.escape(idx)} has format_version {version}.*rebuild"
         with pytest.raises(ValueError, match=match):
             IndexSearcher(idx)
         with pytest.raises(ValueError, match=match):
             compact_merge(idx)
+
+
+def test_index_caches_rebuild_another_writers_index(tmp_path,
+                                                    monkeypatch):
+    """The pipelines' index caches reuse a cached index only when the
+    writer that built it is this one: an index whose meta records
+    another writer digest (an older segment layout under the same
+    config) is cleared and rebuilt, and this writer's index is reused
+    without a build."""
+    import json
+
+    from open_source_search_engine_ray.index.build import writer_digest
+    from open_source_search_engine_ray.pipelines import (engine_docs,
+                                                         transcripts_flagship)
+
+    builds = []
+
+    def fake_build(factory, out_dir, config, **kwargs):
+        builds.append(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "index_meta.json"), "w") as f:
+            json.dump({"writer_digest": writer_digest()}, f)
+
+    for mod, root, ensure in (
+            (transcripts_flagship, "CACHE_ROOT", "ensure_index"),
+            (engine_docs, "DOCS_CACHE_ROOT", "_ensure_docs_index")):
+        monkeypatch.setattr(mod, root, str(tmp_path / root))
+        monkeypatch.setattr(mod, "build_index", fake_build, raising=False)
+        monkeypatch.setattr(
+            "open_source_search_engine_ray.index.build.build_index",
+            fake_build)
+        builds.clear()
+        idx = getattr(mod, ensure)("/data/sf0.001")
+        assert builds == [idx] and writer_digest() in idx
+        # plant an index another writer built in the same directory
+        stale = os.path.join(idx, "segments", "stale.seg")
+        os.makedirs(os.path.dirname(stale))
+        open(stale, "wb").close()
+        with open(os.path.join(idx, "index_meta.json"), "w") as f:
+            json.dump({"writer_digest": "0" * 16}, f)
+        assert getattr(mod, ensure)("/data/sf0.001") == idx
+        assert builds == [idx, idx] and not os.path.exists(stale)
+        assert getattr(mod, ensure)("/data/sf0.001") == idx
+        assert builds == [idx, idx]
 
 
 def test_missing_segments_fail_loudly(test_index, tmp_path):

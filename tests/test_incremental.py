@@ -133,10 +133,15 @@ def test_compact_merge_carries_live_tables(incr_index):
     """compact_merge carries exactly the live rows: the compacted docstore
     holds the live corpus's (conv_id, turn_idx) rows and its docstats the
     live doc ids — the rows the streaming live view (the input of the
-    spell vocabulary and of doclang) yields on the uncompacted index."""
+    spell vocabulary and of doclang) yields on the uncompacted index —
+    and its doc table ranks the live doc ids, sorted, with their doc
+    lengths."""
     import pyarrow.dataset as pads
 
+    from open_source_search_engine_ray.index.build import dl_of
+    from open_source_search_engine_ray.index.manifest import doc_table_path
     from open_source_search_engine_ray.index.merge import live_docs_ds
+    from open_source_search_engine_ray.index.segments import open_doc_table
 
     live = _live_table()
     want = sorted(zip(live["conv_id"].to_pylist(),
@@ -145,6 +150,10 @@ def test_compact_merge_carries_live_tables(incr_index):
         sorted(set(live["conv_id"].to_pylist()))))
     view = live_docs_ds(incr_index, "docstore").to_pandas()
     assert sorted(zip(view["conv_id"], view["turn_idx"])) == want
+    live_stats = live_docs_ds(incr_index, "docstats").to_pandas()
+    live_dl = dict(zip(live_stats["doc_id"].astype(np.uint64).tolist(),
+                       dl_of(live_stats["dl_q"].to_numpy()).tolist()))
+    assert sorted(live_dl) == want_ids
 
     idx8 = IDX + "_carrytables"
     shutil.rmtree(idx8, ignore_errors=True)
@@ -157,6 +166,10 @@ def test_compact_merge_carries_live_tables(incr_index):
     stats = pads.dataset(os.path.join(idx8, "docstats"),
                          format="parquet").to_table()
     assert sorted(stats["doc_id"].to_pylist()) == want_ids
+    table = open_doc_table(doc_table_path(idx8, 0))
+    assert table.doc_ids.tolist() == want_ids
+    assert table.dl.tolist() == [live_dl[d] for d in want_ids]
+    assert not os.path.exists(doc_table_path(idx8, 1))
     shutil.rmtree(idx8, ignore_errors=True)
 
 
@@ -484,10 +497,19 @@ def _open_files(prefix: str) -> list[str]:
 def test_reader_files_close_with_their_searchers(ray_session):
     """An ingest-shaped loop — add, compact_merge, reopen, query —
     leaves no index file open once its searchers are dropped: a reader's
-    file closes when the reader is collected.  (Files, not every entry
-    of ``/proc/self/fd``: Ray's own sockets come and go with its
-    workers.)"""
+    file closes when the reader is collected, and a doc table holds no
+    file open (it is read whole), so the doc-table files open stay at
+    their starting count, and the tables leave the registry with their
+    readers.  (Files, not every entry of ``/proc/self/fd``: Ray's own
+    sockets come and go with its workers.)"""
     import gc
+
+    from open_source_search_engine_ray.index import segments
+    from open_source_search_engine_ray.index.manifest import DOC_TABLE_SUFFIX
+
+    def tables_open(prefix):
+        return [f for f in _open_files(prefix)
+                if f.endswith(DOC_TABLE_SUFFIX)]
 
     idx = IDX + "_fds"
     shutil.rmtree(idx, ignore_errors=True)
@@ -495,6 +517,7 @@ def test_reader_files_close_with_their_searchers(ray_session):
                 input_token="fds:base")
     prefix = os.path.realpath(idx)
     assert _open_files(prefix) == []
+    n_tables = len(tables_open(prefix))
     se = IndexSearcher(idx)
     live = list(range(60))
     for lo in (60, 80, 100):
@@ -508,9 +531,16 @@ def test_reader_files_close_with_their_searchers(ray_session):
         _assert_oracle(se, live)
     n_readers = len(_readers(se))
     assert n_readers and len(_open_files(prefix)) == n_readers
+    assert len(tables_open(prefix)) == n_tables
+    tables = [key for key in segments._LIVE.keys()
+              if key[0].endswith(DOC_TABLE_SUFFIX)
+              and key[0].startswith(os.path.abspath(idx) + os.sep)]
+    assert tables       # the readers' queries opened their tables
     se = None
     gc.collect()
     assert _open_files(prefix) == []
+    assert len(tables_open(prefix)) == n_tables
+    assert not [key for key in segments._LIVE.keys() if key in tables]
     shutil.rmtree(idx, ignore_errors=True)
 
 
